@@ -67,7 +67,7 @@ from .family import (
     rectangle_family,
     rectangle_semi_axes_sq,
 )
-from .geom import AffineMap, Line, Point, golden_max, golden_min, quadratic_roots
+from .geom import AffineMap, Line, Point, cubic_roots, golden_max, golden_min, quadratic_roots
 from .quad import (
     ConvexQuad,
     NormalizedQuad,

@@ -164,6 +164,71 @@ def quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     return (q / a, c / q)
 
 
+# A deflated quadratic whose discriminant is negative by no more than this
+# multiple of its size has a double root lost to rounding, not complex roots.
+_DOUBLE_ROOT_RTOL = 1e-14
+
+
+def cubic_roots(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """Real roots of a*x^3 + b*x^2 + c*x + d, at most three, in no
+    particular order; a repeated root appears once per multiplicity.
+
+    Kahan's method ("To Solve a Real Cubic Equation", 1986): Newton's
+    iteration from a start beyond the root on the far side of the
+    inflection point converges monotonically to one real root; dividing it
+    out, from whichever end of the polynomial is stable, leaves a quadratic
+    for quadratic_roots. Unlike the trigonometric and Cardano forms it stays
+    accurate when the leading coefficient is tiny beside the others. A
+    zero leading coefficient falls back to quadratic_roots.
+    """
+    if a == 0.0:
+        return quadratic_roots(b, c, d)
+    if d == 0.0:
+        x, b1, c2 = 0.0, b, c
+    else:
+        x = -(b / a) / 3.0
+        fx, slope, b1, c2 = _cubic_eval(a, b, c, d, x)
+        t = fx / a
+        r = abs(t) ** (1.0 / 3.0)
+        s = math.copysign(1.0, t)
+        t = -slope / a
+        # Kahan's bound: x - s*r lies beyond the root, and each Newton step,
+        # shortened by one part in 1e15, stays on that side of it.
+        if t > 0.0:
+            r = 1.324718 * max(r, math.sqrt(t))
+        x_next = x - s * r
+        if x_next != x:
+            # The residual must fall at every step, which also ends the loop:
+            # rounding noise near a multiple root can throw a step past the
+            # root, and the last point whose residual fell is kept.
+            best = math.inf
+            while True:
+                fx, slope, b1_next, c2_next = _cubic_eval(a, b, c, d, x_next)
+                if not abs(fx) < best:
+                    break
+                x, best, b1, c2 = x_next, abs(fx), b1_next, c2_next
+                x_next = x if slope == 0.0 else x - (fx / slope) / 1.000000000000001
+                if s * x_next <= s * x:
+                    break
+            # Divide from the constant end when the cubic term dominates.
+            if abs(a * x * x * x) > abs(d):
+                c2 = -d / x
+                b1 = (c2 - c) / x
+    rest = quadratic_roots(a, b1, c2)
+    if not rest and b1 * b1 - 4.0 * a * c2 >= -_DOUBLE_ROOT_RTOL * b1 * b1:
+        rest = (-0.5 * b1 / a,) * 2
+    return (x,) + rest
+
+
+def _cubic_eval(a: float, b: float, c: float, d: float, x: float):
+    """Value and slope of the cubic at x, and the coefficients b1, c2 of the
+    quotient a*x^2 + b1*x + c2 left by dividing out (x - root)."""
+    q0 = a * x
+    b1 = q0 + b
+    c2 = b1 * x + c
+    return c2 * x + d, (q0 + b1) * x + c2, b1, c2
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 

@@ -10,8 +10,12 @@ The circumscribed construction: every conic through the four vertices lies
 in the pencil spanned by the two degenerate members built from opposite
 side-line products. The quadratic-part determinant is quadratic in the
 pencil parameter and nonpositive at both degenerate ends, so the ellipse
-members form one open sub-interval between its roots; the minimal-area
-member is found there by golden-section search.
+members form one open sub-interval between its roots. A member's area is
+pi |det3| / det2^{3/2} with det3 cubic in the parameter, and its
+stationary points are the real roots of a cubic; the minimal-area member is
+the best of those inside the sub-interval. The pencil is built for the quad
+moved to its centroid and scaled to unit size, so the ratio does not
+depend on units or placement.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .family import (
     max_area_param,
     midpoint_ellipse,
 )
-from .geom import AffineMap, Line, Point, cross2, distance, golden_min, quadratic_roots
+from .geom import AffineMap, Line, Point, cross2, cubic_roots, distance, quadratic_roots
 from .quad import (
     ConvexQuad,
     ParallelogramFrame,
@@ -358,9 +362,22 @@ def _line_pair(p: Line, r: Line) -> tuple[float, float, float, float, float, flo
     )
 
 
+def _unit_frame(q: ConvexQuad) -> ConvexQuad:
+    """The quad translated to its vertex centroid and divided by its largest
+    coordinate magnitude, so pencil coefficients are O(1) whatever the
+    quad's units and placement. Flags and vertex order are unchanged."""
+    v = q.vertices
+    cx = sum(x for x, _ in v) / 4.0
+    cy = sum(y for _, y in v) / 4.0
+    moved = tuple((x - cx, y - cy) for x, y in v)
+    k = max(max(abs(x), abs(y)) for x, y in moved)
+    return replace(q, vertices=tuple((x / k, y / k) for x, y in moved))
+
+
 def _vertex_pencil(q: ConvexQuad):
     """Base and direction of the pencil of conics through the vertices,
-    plus the parameter interval on which the member is an ellipse."""
+    the coefficients (q2, q1, q0) of its quadratic-part determinant, and
+    the parameter interval on which the member is an ellipse."""
     u0, u1, u2, u3 = (side.unit() for side in q.sides())
     base = _line_pair(u0, u2)
     other = _line_pair(u1, u3)
@@ -374,7 +391,46 @@ def _vertex_pencil(q: ConvexQuad):
     lo, hi = min(roots), max(roots)
     if not hi > lo:
         raise OptimizationFailed("ellipse sub-interval of the vertex pencil collapsed")
-    return base, delta, lo, hi
+    return base, delta, (qa, qb, qc), lo, hi
+
+
+def _cofactors(m) -> tuple[float, float, float, float, float, float]:
+    """Cofactors (11, 22, 33, 12, 13, 23) of the symmetric conic matrix
+    [[a, c, d/2], [c, b, e/2], [d/2, e/2, f]]."""
+    a, b, c, d, e, f = m
+    g, h = 0.5 * d, 0.5 * e
+    return (b * f - h * h, a * f - g * g, a * b - c * c, g * h - c * f, c * h - b * g, c * g - a * h)
+
+
+def _cofactor_dot(cof, m) -> float:
+    """tr(adj(M) N) for the cofactors of M and the coefficients of N."""
+    a, b, c, d, e, f = m
+    return cof[0] * a + cof[1] * b + cof[2] * f + 2.0 * cof[3] * c + cof[4] * d + cof[5] * e
+
+
+def _stationary_points(base, delta, det2, lo: float, hi: float) -> list[float]:
+    """Pencil parameters in (lo, hi) where the member's area is stationary.
+
+    With det3(mu) = k0 + k1 mu + k2 mu^2 + k3 mu^3 the determinant of the
+    member matrix B + mu D (k0 = det B, k1 = tr(adj(B) D),
+    k2 = tr(adj(D) B), k3 = det D) and det2(mu) = q0 + q1 mu + q2 mu^2 that
+    of its quadratic part, the area is pi |det3| / det2^{3/2}. Its
+    derivative vanishes where 2 det3' det2 - 3 det3 det2' does; the mu^4
+    terms cancel, leaving the cubic solved here.
+    """
+    cof_b, cof_d = _cofactors(base), _cofactors(delta)
+    k0 = _cofactor_dot(cof_b, base) / 3.0
+    k1 = _cofactor_dot(cof_b, delta)
+    k2 = _cofactor_dot(cof_d, base)
+    k3 = _cofactor_dot(cof_d, delta) / 3.0
+    q2, q1, q0 = det2
+    roots = cubic_roots(
+        3.0 * k3 * q1 - 2.0 * k2 * q2,
+        6.0 * k3 * q0 + k2 * q1 - 4.0 * k1 * q2,
+        4.0 * k2 * q0 - k1 * q1 - 6.0 * k0 * q2,
+        2.0 * k1 * q0 - 3.0 * k0 * q1,
+    )
+    return [mu for mu in roots if lo < mu < hi]
 
 
 def _pencil_member_area(base, delta, mu: float) -> float:
@@ -398,35 +454,29 @@ def _pencil_member_area(base, delta, mu: float) -> float:
 def circumscribed_min_ratio(q: ConvexQuad) -> float:
     """Minimal area ratio over ellipses through the four vertices.
 
-    Golden-section search over the ellipse sub-interval of the vertex
-    pencil, multi-started from three sub-brackets to guard against a
-    non-unimodal profile. The winning conic is checked to actually pass
-    through all four vertices before the ratio is reported.
+    Works on the quad moved to its centroid and scaled to unit size. The
+    area of the pencil member is infinite at both ends of the ellipse
+    sub-interval, so the minimum is one of the stationary points inside it:
+    the real roots of a cubic (see _stationary_points), each scored by its
+    area. The winning conic is checked to pass through all four vertices,
+    to 1e-9 in that frame, before the ratio is reported.
     """
-    base, delta, lo, hi = _vertex_pencil(q)
-    shrink = 1e-9 * (hi - lo)
-    lo += shrink
-    hi -= shrink
+    frame = _unit_frame(q)
+    base, delta, det2, lo, hi = _vertex_pencil(frame)
     best_mu, best_area = math.nan, math.inf
-    third = (hi - lo) / 3.0
-    for k in range(3):
-        mu, area = golden_min(
-            lambda m: _pencil_member_area(base, delta, m),
-            lo + k * third,
-            lo + (k + 1) * third,
-            tol=1e-12,
-        )
+    for mu in _stationary_points(base, delta, det2, lo, hi):
+        area = _pencil_member_area(base, delta, mu)
         if area < best_area:
             best_mu, best_area = mu, area
     if not math.isfinite(best_area):
         raise OptimizationFailed("no ellipse member found in the vertex pencil")
     conic = ConicCoeffs(*(b + best_mu * d for b, d in zip(base, delta))).canonical()
-    worst = max(abs(conic.evaluate(x, y)) for x, y in q.vertices)
+    worst = max(abs(conic.evaluate(x, y)) for x, y in frame.vertices)
     if worst > 1e-9:
         raise OptimizationFailed(
             f"minimal member misses a vertex by {worst:.3g} after scaling"
         )
-    return best_area / quad_area(q)
+    return best_area / quad_area(frame)
 
 
 @dataclass(frozen=True)
@@ -539,12 +589,18 @@ def scan_sample_vertices(seed: int, index: int) -> tuple[Point, Point, Point, Po
     generator keyed by (seed, index), so samples are independent of
     evaluation order.
     """
+    return _scan_slot(seed, index)[0]
+
+
+def _scan_slot(seed: int, index: int) -> tuple[tuple[Point, Point, Point, Point], ConvexQuad | None]:
+    """Vertices of one scan slot, plus the validated quad when drawing them
+    already validated one (free quads and noisy parallelograms)."""
     if index == 0:
-        return ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        return ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), None
     rng = np.random.default_rng((seed, index))
     stratum = index % 4
     if stratum == 2:
-        return sample_parallelogram_vertices(rng)
+        return sample_parallelogram_vertices(rng), None
     if stratum == 3:
         while True:
             verts = sample_parallelogram_vertices(rng)
@@ -553,11 +609,11 @@ def scan_sample_vertices(seed: int, index: int) -> tuple[Point, Point, Point, Po
                 (x + float(dx), y + float(dy)) for (x, y), (dx, dy) in zip(verts, noise)
             )
             try:
-                validate(bumped)
+                return bumped, validate(bumped)
             except (NotConvex, DegenerateVertices):
                 continue
-            return bumped
-    return sample_convex_quad(rng).vertices
+    q = sample_convex_quad(rng)
+    return q.vertices, q
 
 
 def conjecture_scan(n: int, seed: int, candidate_path: str | None = None) -> ConjectureReport:
@@ -575,7 +631,9 @@ def conjecture_scan(n: int, seed: int, candidate_path: str | None = None) -> Con
     argmin: tuple[Point, Point, Point, Point] | None = None
     candidates: list[tuple[int, tuple[Point, Point, Point, Point], float]] = []
     for i in range(n):
-        q = validate(scan_sample_vertices(seed, i))
+        verts, q = _scan_slot(seed, i)
+        if q is None:
+            q = validate(verts)
         ratio = circumscribed_min_ratio(q)
         slot = int((ratio - HALF_PI) / _SCAN_BIN_WIDTH)
         histogram[min(max(slot, 0), _SCAN_BINS - 1)] += 1

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from quadellipse.geom import (
     AffineMap,
     Line,
     cross2,
+    cubic_roots,
     distance,
     golden_max,
     golden_min,
@@ -131,6 +133,64 @@ class TestQuadraticRoots:
         assert len(roots) == 2 or r1 == pytest.approx(r2, abs=1e-6)
         if len(roots) == 2:
             assert sorted(roots) == pytest.approx(sorted([r1, r2]), abs=1e-6)
+
+
+class TestCubicRoots:
+    def test_three_distinct_roots(self):
+        roots = sorted(cubic_roots(2.0, -12.0, 22.0, -12.0))
+        assert roots == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+
+    def test_one_real_root(self):
+        # x^3 + x + 1: the discriminant is negative, so only one root is real.
+        roots = cubic_roots(1.0, 0.0, 1.0, 1.0)
+        assert len(roots) == 1
+        x = roots[0]
+        assert x == pytest.approx(-0.6823278038280193, rel=1e-15)
+        assert abs(x**3 + x + 1.0) < 1e-15
+
+    def test_double_root(self):
+        # (x - 1)^2 (x + 2), exact in binary.
+        roots = sorted(cubic_roots(1.0, 0.0, -3.0, 2.0))
+        assert roots == pytest.approx([-2.0, 1.0, 1.0], rel=1e-15)
+
+    def test_double_root_survives_rounded_discriminant(self):
+        # (x - 0.3)^2 (x - 3): after dividing out x = 3 the quadratic's
+        # discriminant rounds below zero.
+        roots = sorted(cubic_roots(1.0, -3.6, 1.89, -0.27))
+        assert roots == pytest.approx([0.3, 0.3, 3.0], rel=1e-12)
+
+    def test_triple_root(self):
+        assert cubic_roots(2.0, -6.0, 6.0, -2.0) == (1.0, 1.0, 1.0)
+
+    def test_zero_leading_coefficient_falls_back_to_quadratic(self):
+        assert cubic_roots(0.0, 1.0, -3.0, 2.0) == quadratic_roots(1.0, -3.0, 2.0)
+        assert cubic_roots(0.0, 0.0, 2.0, -6.0) == (3.0,)
+
+    @pytest.mark.parametrize("a", [1e-6, -1e-6, 1e-17, -1e-17, 1e-100])
+    def test_tiny_leading_coefficient(self, a):
+        # One root runs off to about -1/a; the other two stay within ~a of
+        # 1 and 2, where the trigonometric form loses them entirely.
+        roots = sorted(cubic_roots(a, 1.0, -3.0, 2.0), key=abs)
+        assert len(roots) == 3
+        assert roots[2] == pytest.approx(-1.0 / a, rel=1e-5)
+        assert sorted(roots[:2]) == pytest.approx([1.0, 2.0], rel=10.0 * abs(a) + 1e-15)
+
+    @given(
+        st.floats(min_value=-10, max_value=10),
+        st.floats(min_value=-10, max_value=10),
+        st.floats(min_value=-10, max_value=10),
+    )
+    def test_reconstructs_monic_coefficients(self, r1, r2, r3):
+        b, c, d = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+        roots = cubic_roots(1.0, b, c, d)
+        for x in roots:
+            assert min(abs(x - r) for r in (r1, r2, r3)) < 1e-4
+        if min(abs(r1 - r2), abs(r1 - r3), abs(r2 - r3)) > 1e-2:
+            assert sorted(roots) == pytest.approx(sorted([r1, r2, r3]), abs=1e-8)
+            for x in roots:
+                size = abs(x) ** 3 + abs(b) * x * x + abs(c * x) + abs(d)
+                # Relative to the terms' size, floored where they underflow.
+                assert abs(((x + b) * x + c) * x + d) <= 1e-14 * size + sys.float_info.min
 
 
 class TestSmallHelpers:
