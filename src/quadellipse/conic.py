@@ -267,6 +267,21 @@ def ellipse_area(geom: EllipseGeom) -> float:
     return math.pi * geom.a * geom.b
 
 
+def ellipse_area_of_coeffs(a: float, b: float, c: float, d: float, e: float, f: float) -> float:
+    """Area of the conic with these coefficients when it is a real ellipse,
+    +inf otherwise. Lean helper for one-dimensional searches over conic
+    families: no classification, no geometry."""
+    det2 = a * b - c * c
+    if det2 <= 0.0:
+        return math.inf
+    cx = (c * e - b * d) / (2.0 * det2)
+    cy = (c * d - a * e) / (2.0 * det2)
+    fc = f + 0.5 * (d * cx + e * cy)
+    if fc * (a + b) >= 0.0:
+        return math.inf
+    return math.pi * abs(fc) / math.sqrt(det2)
+
+
 def foci(geom: EllipseGeom) -> tuple[Point, Point]:
     """The two foci; they coincide with the center for circles."""
     cdist = math.sqrt(max(geom.a * geom.a - geom.b * geom.b, 0.0))

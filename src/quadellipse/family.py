@@ -28,6 +28,7 @@ from .conic import (
     conic_to_ellipse,
     conic_transform,
     ellipse_area,
+    ellipse_area_of_coeffs,
     line_tangency,
 )
 from .errors import (
@@ -305,21 +306,6 @@ def _pencil_conic(vertices: tuple[Point, Point, Point, Point], lam: float) -> Co
     return _adjugate_conic(*(mu * x + lam * y for x, y in zip(na, nb)))
 
 
-def _ellipse_area_of_conic(coeffs: ConicCoeffs) -> float:
-    """Area when the conic is a real ellipse, +inf otherwise. Lean helper
-    for one-dimensional searches over conic families."""
-    a, b, c, d, e, f = coeffs.as_tuple()
-    det2 = a * b - c * c
-    if det2 <= 0.0:
-        return math.inf
-    cx = (c * e - b * d) / (2.0 * det2)
-    cy = (c * d - a * e) / (2.0 * det2)
-    fc = f + 0.5 * (d * cx + e * cy)
-    if fc * (a + b) >= 0.0:
-        return math.inf
-    return math.pi * abs(fc) / math.sqrt(det2)
-
-
 def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
     """The unique inscribed ellipse of a convex quad with the given center.
 
@@ -417,7 +403,7 @@ def max_area_by_search(q: ConvexQuad) -> InscribedMember:
     local_vertices = tuple((x - gx, y - gy) for x, y in q.vertices)
 
     def area_at(u: float) -> float:
-        a = _ellipse_area_of_conic(_pencil_conic(local_vertices, u))
+        a = ellipse_area_of_coeffs(*_pencil_conic(local_vertices, u).as_tuple())
         return a if math.isfinite(a) else 0.0
 
     lam, _ = golden_max(area_at, 0.0, 1.0, tol=1e-12)
@@ -450,7 +436,7 @@ def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
     m1, m2 = diagonal_midpoints(q)
     for i in range(count):
         lam = (i + 1.0) / (count + 1.0)
-        area = _ellipse_area_of_conic(_pencil_conic(local_vertices, lam))
+        area = ellipse_area_of_coeffs(*_pencil_conic(local_vertices, lam).as_tuple())
         center = (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
         rows.append((lam, area, center))
     return rows

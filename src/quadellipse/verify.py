@@ -16,6 +16,10 @@ stationary points are the real roots of a cubic; the minimal-area member is
 the best of those inside the sub-interval. The pencil is built for the quad
 moved to its centroid and scaled to unit size, so the ratio does not
 depend on units or placement.
+
+numpy is imported inside the functions that draw samples or scan the
+z-grid, not at module level, so importing the package (and every CLI
+command that reads a document) does not load it.
 """
 
 from __future__ import annotations
@@ -25,10 +29,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bestfit import best_fit_line, slope_identities
-from .conic import ConicCoeffs, ellipse_area, foci
+from .conic import ConicCoeffs, ellipse_area, ellipse_area_of_coeffs, foci
 from .errors import (
     CanonicalFormViolated,
     DegenerateVertices,
@@ -161,6 +163,8 @@ def z_fn(w: float) -> float:
 
 def _z_values(w: np.ndarray) -> np.ndarray:
     """Vectorized z_fn for grid scans; same direct/reciprocal split."""
+    import numpy as np
+
     q = (w - 1.0) * w + 1.0
     out = np.empty_like(w)
     low = w <= 0.5
@@ -183,6 +187,8 @@ def scan_z_bound(grid_n: int) -> float:
     B = 2w^2 - 5w - 1 gives A^2 - B^2 Q = 27 w (w-1)^3, which is checked to
     be strictly negative (hence nonzero) across the grid.
     """
+    import numpy as np
+
     if grid_n < 2:
         raise DomainError("grid_n must be at least 2")
     w = np.arange(1, grid_n + 1, dtype=np.float64) / (grid_n + 1.0)
@@ -280,6 +286,8 @@ def check_lemma22(samples: int, seed: int) -> dict[str, tuple[int, int]]:
     strictly inside the open interval with endpoints 1/2 and s/2 versus
     not. All samples should land inside.
     """
+    import numpy as np
+
     if samples < 4:
         raise DomainError("need at least one sample per regime")
     counts: dict[str, list[int]] = {label: [0, 0] for label in _PAIR_REGIMES}
@@ -434,21 +442,14 @@ def _stationary_points(base, delta, det2, lo: float, hi: float) -> list[float]:
 
 
 def _pencil_member_area(base, delta, mu: float) -> float:
-    a = base[0] + mu * delta[0]
-    b = base[1] + mu * delta[1]
-    c = base[2] + mu * delta[2]
-    det2 = a * b - c * c
-    if det2 <= 0.0:
-        return math.inf
-    d = base[3] + mu * delta[3]
-    e = base[4] + mu * delta[4]
-    f = base[5] + mu * delta[5]
-    cx = (c * e - b * d) / (2.0 * det2)
-    cy = (c * d - a * e) / (2.0 * det2)
-    fc = f + 0.5 * (d * cx + e * cy)
-    if fc * (a + b) >= 0.0:
-        return math.inf
-    return math.pi * abs(fc) / math.sqrt(det2)
+    return ellipse_area_of_coeffs(
+        base[0] + mu * delta[0],
+        base[1] + mu * delta[1],
+        base[2] + mu * delta[2],
+        base[3] + mu * delta[3],
+        base[4] + mu * delta[4],
+        base[5] + mu * delta[5],
+    )
 
 
 def circumscribed_min_ratio(q: ConvexQuad) -> float:
@@ -566,16 +567,16 @@ def sample_parallelogram_vertices(
     """Vertices of a random parallelogram with a well-separated edge pair.
 
     The fourth vertex is computed as third + side, so opposite edges stay
-    parallel to the last floating-point bit.
+    parallel to the last floating-point bit. Coordinates are Python floats.
     """
     while True:
-        ux, uy = rng.uniform(-1.0, 1.0, 2)
-        wx, wy = rng.uniform(-1.0, 1.0, 2)
+        ux, uy = rng.uniform(-1.0, 1.0, 2).tolist()
+        wx, wy = rng.uniform(-1.0, 1.0, 2).tolist()
         if math.hypot(ux, uy) < 0.25 or math.hypot(wx, wy) < 0.25:
             continue
         if abs(ux * wy - uy * wx) < min_cross:
             continue
-        x0, y0 = rng.uniform(-1.0, 1.0, 2)
+        x0, y0 = rng.uniform(-1.0, 1.0, 2).tolist()
         v1 = (x0 + ux, y0 + uy)
         return ((x0, y0), v1, (v1[0] + wx, v1[1] + wy), (x0 + wx, y0 + wy))
 
@@ -597,6 +598,8 @@ def _scan_slot(seed: int, index: int) -> tuple[tuple[Point, Point, Point, Point]
     already validated one (free quads and noisy parallelograms)."""
     if index == 0:
         return ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), None
+    import numpy as np
+
     rng = np.random.default_rng((seed, index))
     stratum = index % 4
     if stratum == 2:
@@ -682,6 +685,8 @@ def run_verification_suite(samples: int = 1000, seed: int = 0) -> list[CheckOutc
     Returns one outcome per check; nothing raises, so a report is always
     produced even when a check fails.
     """
+    import numpy as np
+
     outcomes: list[CheckOutcome] = []
 
     def record(name: str, fn) -> None:

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from quadellipse.cli import main, run
 RECT = {"vertices": [[0, 0], [1, 0], [1, 2], [0, 2]], "id": "rect-1x2"}
 SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 GENERIC = {"vertices": [[0, 0], [1, 0], [2, 3], [0, 1]]}
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -237,3 +242,45 @@ class TestUsage:
     def test_main_wrapper(self, doc, capsys):
         assert main(["analyze", doc(GENERIC)]) == 0
         capsys.readouterr()
+
+
+# Runs each document command in one interpreter, with stdout redirected,
+# and names the first whose call left numpy imported; then checks that the
+# sampling commands, which do import it, still run there.
+_DOCUMENT_COMMANDS_SCRIPT = """
+import io, sys
+from quadellipse import cli
+path = sys.argv[1]
+def call(argv):
+    stdout, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+    try:
+        code = cli.run(argv)
+    finally:
+        sys.stdout = stdout
+    assert code == 0, (argv, code)
+for argv in (
+    ["analyze", path],
+    ["max-ellipse", path],
+    ["family", path],
+    ["bestfit", path],
+    ["render", path],
+    ["verify", path],
+):
+    call(argv)
+    assert "numpy" not in sys.modules, f"{argv[0]} imported numpy"
+call(["verify", "--samples", "8"])
+call(["conjecture", "--samples", "8"])
+"""
+
+
+class TestImportCost:
+    def test_document_commands_do_not_import_numpy(self, doc):
+        # A new interpreter that imports the package from this checkout's src.
+        result = subprocess.run(
+            [sys.executable, "-c", _DOCUMENT_COMMANDS_SCRIPT, doc(GENERIC)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

@@ -175,6 +175,44 @@ class TestCubicRoots:
         assert roots[2] == pytest.approx(-1.0 / a, rel=1e-5)
         assert sorted(roots[:2]) == pytest.approx([1.0, 2.0], rel=10.0 * abs(a) + 1e-15)
 
+    @pytest.mark.parametrize("a", [1e-120, 1e-200, 1e-300, -1e-300])
+    def test_leading_coefficient_far_below_the_others(self, a):
+        # The far root -1/a - 3 is -1/a to working precision; its cube, and
+        # the value of the unscaled cubic near it, would overflow.
+        roots = cubic_roots(a, 1.0, -3.0, 2.0)
+        assert len(roots) == 3
+        for want in (1.0, 2.0):
+            assert min(abs(x - want) for x in roots) <= 1e-12
+        far = min(roots, key=lambda x: abs(x + 1.0 / a))
+        assert far == pytest.approx(-1.0 / a, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [
+            # The quotient's discriminant would overflow: 2, 1 and 1e250/2e280.
+            ((1e280, -3e280, 2e280, -1e250), [5e-31, 1.0, 2.0]),
+            # ... or underflow: (x - 1)(x - 2)(x - 3) times 1e-300.
+            ((1e-300, -6e-300, 11e-300, -6e-300), [1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_all_coefficients_huge_or_tiny(self, coeffs, want):
+        assert sorted(cubic_roots(*coeffs)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("j, m", [(300, 0), (-300, 0), (0, 1000), (0, -1000), (100, -700)])
+    def test_roots_scale_exactly_with_powers_of_two(self, j, m):
+        # Roots times 2**j and coefficients times 2**m: the iteration runs on
+        # the same rescaled cubic, so the roots come out scaled bit for bit.
+        coeffs = (2.0, -12.0, 22.0, -12.0)
+        scaled = [math.ldexp(v, m + i * j) for i, v in enumerate(coeffs)]
+        assert cubic_roots(*scaled) == tuple(math.ldexp(x, j) for x in cubic_roots(*coeffs))
+
+    @pytest.mark.parametrize(
+        "coeffs", [(math.nan, 1.0, 1.0, 1.0), (1.0, math.inf, 0.0, 1.0), (0.0, 1.0, -math.inf, 1.0)]
+    )
+    def test_non_finite_coefficients_raise(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            cubic_roots(*coeffs)
+
     @given(
         st.floats(min_value=-10, max_value=10),
         st.floats(min_value=-10, max_value=10),

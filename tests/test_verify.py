@@ -379,6 +379,15 @@ class TestScan:
             assert scan_sample_vertices(9, i) == scan_sample_vertices(9, i)
         assert scan_sample_vertices(9, 5) != scan_sample_vertices(10, 5)
 
+    def test_coordinates_are_python_floats_in_every_stratum(self):
+        for index in range(9):
+            samples = (
+                scan_sample_vertices(42, index),
+                sample_parallelogram_vertices(np.random.default_rng((42, index))),
+            )
+            for verts in samples:
+                assert all(type(x) is float for vertex in verts for x in vertex), (index, verts)
+
     def test_parallelogram_stratum(self):
         for i in (2, 6, 10):
             q = validate(scan_sample_vertices(1, i))
