@@ -76,6 +76,8 @@ from .quad import (
     normalize,
     parallelogram_frame,
     quad_area,
+    require_canonical_pair,
+    unit_frame,
     validate,
 )
 from .svgfig import Scene, render_svg

@@ -19,12 +19,7 @@ import sys
 from .bestfit import best_fit_line
 from .conic import ConicCoeffs, ellipse_area, foci
 from .errors import DomainError, QuadEllipseError
-from .family import (
-    InscribedMember,
-    family_areas,
-    max_area_by_search,
-    max_area_ellipse,
-)
+from .family import family_areas, max_area_ellipse
 from .quad import ConvexQuad, diagonal_midpoints, normalize, parallelogram_frame, quad_area, validate
 from .svgfig import Scene, render_svg
 from .verify import (
@@ -128,12 +123,6 @@ def _equation(conic: ConicCoeffs) -> str:
     return " ".join(pieces) + " = 0"
 
 
-def _maximal_member(q: ConvexQuad) -> tuple[InscribedMember, str]:
-    if q.is_trapezoid and not q.is_parallelogram:
-        return max_area_by_search(q), "search"
-    return max_area_ellipse(q), "closed-form"
-
-
 def _cmd_analyze(args) -> int:
     q, doc_id = _load_document(args.document)
     m1, m2 = diagonal_midpoints(q)
@@ -161,7 +150,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_max_ellipse(args) -> int:
     q, doc_id = _load_document(args.document)
-    member, method = _maximal_member(q)
+    member = max_area_ellipse(q)
     conic = member.conic.canonical()
     area = ellipse_area(member.geom)
     ratio = area / quad_area(q)
@@ -171,7 +160,7 @@ def _cmd_max_ellipse(args) -> int:
         payload["id"] = doc_id
     payload.update(
         {
-            "method": method,
+            "method": "closed-form",
             "parameter": member.parameter,
             "parameter_kind": member.param_kind,
             "conic": list(conic.as_tuple()),
@@ -337,7 +326,7 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_render(args) -> int:
     q, _ = _load_document(args.document)
-    member, _method = _maximal_member(q)
+    member = max_area_ellipse(q)
     fit = best_fit_line(q.vertices)
     lines = () if fit.degenerate else (fit.line(),)
     scene = Scene(

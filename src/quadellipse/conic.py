@@ -20,8 +20,9 @@ from enum import Enum
 from .errors import NotAnEllipse, SingularCenterSystem
 from .geom import AffineMap, Line, Point
 
-# A conic counts as degenerate when its 3x3 determinant is below this
-# multiple of the cubed largest coefficient magnitude.
+# A conic counts as degenerate when its value at the center (or, without a
+# center, its 3x3 determinant) is below this multiple of its scale; see
+# classify_conic.
 DEGENERACY_RTOL = 1e-12
 
 # A line counts as tangent when the normalized restricted discriminant is
@@ -150,24 +151,34 @@ def _sign_normalized_quad(coeffs: ConicCoeffs) -> tuple[float, float, float, flo
 
 
 def classify_conic(coeffs: ConicCoeffs) -> ConicKind:
-    """Classify by the sign of a*b - c^2 and the 3x3 determinant.
+    """Classify by the sign of a*b - c^2 and the value at the center.
 
-    Degenerate covers vanishing determinant (within DEGENERACY_RTOL of the
-    cubed coefficient scale) and conics with no real points.
+    A central conic (a*b - c^2 clear of zero) is degenerate when its value
+    at the center, fc = det3 / (a*b - c^2), vanishes to within
+    DEGENERACY_RTOL of the terms summed to form it, or when it has no real
+    points. That test does not depend on the conic's size or placement, so
+    a thin ellipse stays an ellipse. A non-central conic is degenerate when
+    its 3x3 determinant is below DEGENERACY_RTOL of the cubed coefficient
+    scale, and a parabola otherwise.
     """
-    scale = coeffs.max_abs()
-    det3 = coeffs.det3()
-    if abs(det3) < DEGENERACY_RTOL * scale * scale * scale:
-        return ConicKind.DEGENERATE
+    a, b, c, d, e, f = coeffs.as_tuple()
     det2 = coeffs.det2()
-    qscale = max(abs(coeffs.a), abs(coeffs.b), abs(coeffs.c))
+    qscale = max(abs(a), abs(b), abs(c))
     if abs(det2) < DEGENERACY_RTOL * qscale * qscale:
+        scale = coeffs.max_abs()
+        if abs(coeffs.det3()) < DEGENERACY_RTOL * scale * scale * scale:
+            return ConicKind.DEGENERATE
         return ConicKind.PARABOLA
+    cx = (c * e - b * d) / (2.0 * det2)
+    cy = (c * d - a * e) / (2.0 * det2)
+    fc = f + 0.5 * (d * cx + e * cy)
+    if abs(fc) <= DEGENERACY_RTOL * (abs(f) + 0.5 * (abs(d * cx) + abs(e * cy))):
+        return ConicKind.DEGENERATE
     if det2 < 0.0:
         return ConicKind.HYPERBOLA
-    # det2 > 0: a real ellipse needs the full determinant and the quadratic
+    # det2 > 0: a real ellipse needs the center value and the quadratic
     # trace on opposite signs; otherwise the point set is empty.
-    if (coeffs.a + coeffs.b) * det3 < 0.0:
+    if (a + b) * fc < 0.0:
         return ConicKind.ELLIPSE
     return ConicKind.DEGENERATE
 
@@ -230,9 +241,10 @@ def conic_to_ellipse(coeffs: ConicCoeffs) -> EllipseGeom:
     tr = a + b
     disc = math.hypot(a - b, 2.0 * c)
     # tr - disc cancels badly for thin ellipses; recover the small eigenvalue
-    # from the exact product lam_min * lam_max = det2 instead.
+    # from the exact product lam_min * lam_max = det2 instead. For a circle
+    # that quotient can round above lam_max, which would swap the axes.
     lam_max = 0.5 * (tr + disc)
-    lam_min = det2 / lam_max
+    lam_min = min(det2 / lam_max, lam_max)
     if fc >= 0.0 or lam_min <= 0.0:
         raise NotAnEllipse("coefficients describe an ellipse with no real points")
     major = math.sqrt(-fc / lam_min)

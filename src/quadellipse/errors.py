@@ -38,7 +38,8 @@ class IsParallelogram(QuadEllipseError):
 
 
 class TrapezoidUnsupported(QuadEllipseError):
-    pass
+    """No longer raised: max_area_ellipse has a closed form for trapezoids.
+    Kept so callers that still catch it keep importing."""
 
 
 class ParameterOutOfRange(QuadEllipseError):

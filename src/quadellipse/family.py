@@ -3,7 +3,9 @@
 Closed-form one-parameter families for rectangles and parallelograms, the
 center locus and area profile in the canonical (s, t) frame, the dual-pencil
 construction that produces the unique inscribed ellipse at any admissible
-center, and the maximal-area member.
+center, and the maximal-area member in closed form for every convex quad.
+Members of a given quad are built in its unit frame (quad.unit_frame) and
+placed back, so units and placement do not cost digits.
 
 The dual pencil: tangency to all four side lines means the dual conic passes
 through four fixed dual points. That pencil is spanned by the two degenerate
@@ -32,25 +34,21 @@ from .conic import (
     line_tangency,
 )
 from .errors import (
-    CanonicalFormViolated,
     CenterOffLocus,
     IsParallelogram,
     OptimizationFailed,
     ParameterOutOfRange,
-    TrapezoidUnsupported,
 )
-from .geom import AffineMap, Line, Point, golden_max, quadratic_roots
+from .geom import AffineMap, Line, Point, cross2, golden_max, quadratic_roots, sub2
 from .quad import (
     ConvexQuad,
     ParallelogramFrame,
     diagonal_midpoints,
     normalize,
     parallelogram_frame,
+    require_canonical_pair,
+    unit_frame,
 )
-
-# Near t = 1 the closed-form critical abscissa cancels catastrophically; the
-# stationarity quadratic is solved directly instead below this threshold.
-_T_NEAR_ONE = 1e-8
 
 _LAM_EDGE = 1e-12
 
@@ -86,8 +84,9 @@ class InscribedMember:
 
     ``parameter`` is the family coordinate named by ``param_kind``: "h" for
     the canonical-frame center abscissa of a general quad, "v" for the
-    tangency height on a parallelogram frame, "pencil" for the raw dual
-    pencil parameter (used for trapezoids, which have no canonical frame).
+    tangency height on a parallelogram frame, "pencil" for the position lam
+    of the center along the diagonal-midpoint segment M1 -> M2 (used for
+    trapezoids, which have no canonical frame).
     ``tangency`` holds one point per side, in side order.
     """
 
@@ -96,13 +95,6 @@ class InscribedMember:
     conic: ConicCoeffs
     geom: EllipseGeom
     tangency: tuple[Point, Point, Point, Point]
-
-
-def _validate_eq3(s: float, t: float) -> None:
-    if not (s > 0.0 and t > 0.0 and s + t > 1.0) or s == 1.0 or t == 1.0:
-        raise CanonicalFormViolated(
-            f"(s, t) = ({s}, {t}) must satisfy s, t > 0, s + t > 1, s != 1 != t"
-        )
 
 
 def rectangle_family(l: float, k: float, v: float) -> InscribedMember:
@@ -188,25 +180,23 @@ def parallelogram_family(l: float, k: float, d: float, v: float) -> InscribedMem
 
 
 def _place_member(member: InscribedMember, placement: AffineMap) -> InscribedMember:
-    """Push a frame-coordinate member through the frame placement.
+    """Push a frame-coordinate member through a similarity placement (a
+    rotation times a uniform scale, plus a shift).
 
-    Rigid placements carry the semi-axes over exactly; re-deriving them from
-    the transformed conic loses digits to the placement offset.
+    The semi-axes, and the tangency height of a "v" member, are carried
+    over times the scale; re-deriving them from the transformed conic loses
+    digits to the placement offset.
     """
-    conic = conic_transform(member.conic, placement)
-    if placement.is_rigid():
-        theta = math.atan2(placement.m10, placement.m00)
-        g = member.geom
-        geom = EllipseGeom(
-            center=placement(g.center), a=g.a, b=g.b, phi=(g.phi + theta) % math.pi
-        )
-    else:
-        geom = conic_to_ellipse(conic)
+    scale = math.hypot(placement.m00, placement.m10)
+    theta = math.atan2(placement.m10, placement.m00)
+    g = member.geom
     return InscribedMember(
-        parameter=member.parameter,
+        parameter=member.parameter * scale if member.param_kind == "v" else member.parameter,
         param_kind=member.param_kind,
-        conic=conic,
-        geom=geom,
+        conic=conic_transform(member.conic, placement).canonical(),
+        geom=EllipseGeom(
+            center=placement(g.center), a=g.a * scale, b=g.b * scale, phi=g.phi + theta
+        ),
         tangency=tuple(placement(p) for p in member.tangency),
     )
 
@@ -226,7 +216,7 @@ def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
 
 def locus_line(s: float, t: float) -> CenterLocus:
     """Center locus of the inscribed family in the canonical (s, t) frame."""
-    _validate_eq3(s, t)
+    require_canonical_pair(s, t)
     return CenterLocus(s=s, t=t, m1=(0.5, 0.5), m2=(0.5 * s, 0.5 * t))
 
 
@@ -236,7 +226,7 @@ def area_sq(h: float, s: float, t: float) -> float:
     area^2(h) = (pi^2 / (4 (s-1)^2)) * (2h - 1)(s - 2h)(s + 2h(t - 1)) on the
     closed interval with endpoints 1/2 and s/2; both endpoints give zero.
     """
-    _validate_eq3(s, t)
+    require_canonical_pair(s, t)
     lo, hi = locus_line(s, t).interval()
     span = hi - lo
     if h < lo - 1e-12 * max(span, 1.0) or h > hi + 1e-12 * max(span, 1.0):
@@ -246,32 +236,33 @@ def area_sq(h: float, s: float, t: float) -> float:
     return (math.pi * math.pi / (4.0 * sm1 * sm1)) * poly
 
 
+def _max_area_lambda(s: float, t: float) -> float:
+    """Position lam of the maximal-area center along M1 -> M2 for the far
+    vertex (s, t) of the quad mapped onto (0,0), (1,0), (s,t), (0,1).
+
+    With A = s + t - 1 and B = (s - 1)(t - 1), the squared area along the
+    segment is (pi^2 / 4) lam (1 - lam) (A + B lam) (Horwitz, Austral. J.
+    Math. Anal. Appl., 2005). Its derivative -3B lam^2 + 2(B - A) lam + A is
+    A > 0 at lam = 0 and -st < 0 at lam = 1, so exactly one root lies in
+    (0, 1). The other root is negative for B > 0 and above 1 for B < 0, so
+    the wanted root is the smallest positive one; a trapezoid (B = 0) leaves
+    the linear equation and lam = 1/2.
+    """
+    a = s + t - 1.0
+    b = (s - 1.0) * (t - 1.0)
+    return min(r for r in quadratic_roots(-3.0 * b, 2.0 * (b - a), a) if r > 0.0)
+
+
 def max_area_param(s: float, t: float) -> float:
     """Abscissa of the maximal-area member in the canonical frame.
 
-    Closed form of the interior stationary point of area_sq:
-
-        h = (st + t - 2s - 1 + sqrt((t-1)^2 + s^2 (t^2 - t + 1)
-             - s (t^2 - 3t + 2))) / (6 (t - 1)).
-
-    Near t = 1 the expression cancels; the cubic's stationarity quadratic is
-    solved directly there and the root inside the admissible interval is
-    returned.
+    h = 1/2 + (s - 1) lam / 2 for the lam of _max_area_lambda. The paper's
+    radical form, h = (st + t - 2s - 1 + sqrt((t-1)^2 + s^2 (t^2 - t + 1)
+    - s (t^2 - 3t + 2))) / (6 (t - 1)), is the same number but cancels
+    near t = 1.
     """
-    _validate_eq3(s, t)
-    lo, hi = locus_line(s, t).interval()
-    if abs(t - 1.0) >= _T_NEAR_ONE:
-        rad = (t - 1.0) ** 2 + s * s * (t * t - t + 1.0) - s * (t * t - 3.0 * t + 2.0)
-        h = (s * t + t - 2.0 * s - 1.0 + math.sqrt(rad)) / (6.0 * (t - 1.0))
-        return h
-    qa = -24.0 * (t - 1.0)
-    qb = 8.0 * ((s + 1.0) * (t - 1.0) - s)
-    qc = 2.0 * s * (s + 2.0 - t)
-    margin = 1e-9 * max(hi - lo, 1.0)
-    for root in quadratic_roots(qa, qb, qc):
-        if lo - margin <= root <= hi + margin:
-            return root
-    raise OptimizationFailed("no stationary point inside the center interval")  # pragma: no cover
+    require_canonical_pair(s, t)
+    return 0.5 + 0.5 * (s - 1.0) * _max_area_lambda(s, t)
 
 
 def _sym3_points(p: Point, q: Point) -> tuple[float, float, float, float, float, float]:
@@ -319,97 +310,95 @@ def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
             "parallelogram centers are fixed at the diagonal midpoint; "
             "use midpoint_ellipse on its frame"
         )
-    m1, m2 = diagonal_midpoints(q)
+    frame, back = unit_frame(q)
+    m1, m2 = diagonal_midpoints(frame)
+    cx, cy = back.inverse()(center)
     sx, sy = m2[0] - m1[0], m2[1] - m1[1]
-    wx, wy = center[0] - m1[0], center[1] - m1[1]
-    seg2 = sx * sx + sy * sy
-    lam = (wx * sx + wy * sy) / seg2
-    off = math.hypot(wx - lam * sx, wy - lam * sy)
-    if off > 1e-9 * q.diameter():
+    wx, wy = cx - m1[0], cy - m1[1]
+    lam = (wx * sx + wy * sy) / (sx * sx + sy * sy)
+    off = math.hypot(wx - lam * sx, wy - lam * sy) / frame.diameter()
+    if off > 1e-9:
         raise CenterOffLocus(
-            f"center {center} lies {off:.3g} off the diagonal-midpoint segment"
+            f"center {center} lies {off:.3g} diameters off the diagonal-midpoint segment"
         )
     if not (_LAM_EDGE < lam < 1.0 - _LAM_EDGE):
         raise CenterOffLocus(
             f"center {center} falls outside the open midpoint segment (lam = {lam})"
         )
-    # Work about the requested center: the adjugate entries cancel against the
-    # coordinate offset, costing several digits on thin or far-away quads.
-    cx0, cy0 = center
-    local_vertices = tuple((x - cx0, y - cy0) for x, y in q.vertices)
-    local = _pencil_conic(local_vertices, lam).canonical()
-    if classify_conic(local) is not ConicKind.ELLIPSE:
+    return _pencil_member(q, frame, back, lam)
+
+
+def _pencil_member(
+    q: ConvexQuad, frame: ConvexQuad, back: AffineMap, lam: float
+) -> InscribedMember:
+    """The inscribed ellipse of q centered at M1 + lam (M2 - M1), built on
+    its unit frame ``frame`` and placed back onto q by ``back``."""
+    conic = _pencil_conic(frame.vertices, lam).canonical()
+    if classify_conic(conic) is not ConicKind.ELLIPSE:
         raise CenterOffLocus("pencil member at the requested center is not a real ellipse")
-    g = conic_to_ellipse(local)
-    geom = EllipseGeom(
-        center=(g.center[0] + cx0, g.center[1] + cy0), a=g.a, b=g.b, phi=g.phi
-    )
-    conic = conic_transform(local, AffineMap.translation(cx0, cy0)).canonical()
     tangency = []
-    for i in range(4):
-        side = Line.through(local_vertices[i], local_vertices[(i + 1) % 4])
-        res = line_tangency(local, side)
+    for i, side in enumerate(frame.sides()):
+        res = line_tangency(conic, side)
         if res.kind is not TangencyKind.TANGENT:
             raise CenterOffLocus(
                 f"member is not tangent to side {i} (residual {res.residual:.3g})"
             )
-        tangency.append((res.point[0] + cx0, res.point[1] + cy0))
+        tangency.append(res.point)
+    geom = conic_to_ellipse(conic)
     if q.is_trapezoid:
         parameter, kind = lam, "pencil"
     else:
-        parameter, kind = normalize(q).to_canonical(center)[0], "h"
-    return InscribedMember(
-        parameter=parameter,
-        param_kind=kind,
-        conic=conic,
-        geom=geom,
-        tangency=tuple(tangency),
+        parameter, kind = normalize(frame).to_canonical(geom.center)[0], "h"
+    return _place_member(
+        InscribedMember(
+            parameter=parameter,
+            param_kind=kind,
+            conic=conic,
+            geom=geom,
+            tangency=tuple(tangency),
+        ),
+        back,
     )
 
 
 def max_area_ellipse(q: ConvexQuad) -> InscribedMember:
-    """Maximal-area inscribed ellipse.
+    """Maximal-area inscribed ellipse, in closed form for every convex quad.
 
-    Parallelograms route to the midpoint ellipse. General quads use the
-    canonical frame: the maximal member sits at the closed-form abscissa of
-    max_area_param, mapped back to the input frame. Non-parallelogram
-    trapezoids have no canonical frame and are refused; see
-    max_area_by_search for the numerical route.
+    Works on the quad's unit frame. A parallelogram's maximal member is its
+    midpoint ellipse. Any other quad is written v2 - v0 = s (v1 - v0) +
+    t (v3 - v0) (Cramer's rule), which puts the diagonal midpoints M1, M2 of
+    diagonal_midpoints at (1/2, 1/2) and (s/2, t/2); by Newton's theorem
+    every inscribed center lies on M1 -> M2, and the maximal one sits at the
+    lam of _max_area_lambda. Trapezoids have s or t equal to 1 and take the
+    same route.
     """
+    frame, back = unit_frame(q)
     if q.is_parallelogram:
-        return midpoint_ellipse(parallelogram_frame(q))
-    if q.is_trapezoid:
-        raise TrapezoidUnsupported(
-            "trapezoids lack the canonical (s, t) route; use max_area_by_search"
-        )
-    nq = normalize(q)
-    locus = locus_line(nq.s, nq.t)
-    h = max_area_param(nq.s, nq.t)
-    center = nq.from_canonical((h, locus.line_at(h)))
-    return ellipse_at_center(q, center)
+        return _place_member(midpoint_ellipse(parallelogram_frame(frame)), back)
+    v0, v1, v2, v3 = frame.vertices
+    e1, e3, d = sub2(v1, v0), sub2(v3, v0), sub2(v2, v0)
+    det = cross2(e1, e3)
+    lam = _max_area_lambda(cross2(d, e3) / det, cross2(e1, d) / det)
+    return _pencil_member(q, frame, back, lam)
 
 
 def max_area_by_search(q: ConvexQuad) -> InscribedMember:
     """Maximal-area inscribed ellipse by golden-section over the dual pencil.
 
-    Numerical fallback for quads without the canonical route (trapezoids);
-    also a useful cross-check for general quads. Parallelograms are refused
-    since their pencil degenerates to the single midpoint member.
+    A numerical cross-check of max_area_ellipse for tests and benchmarks;
+    no route of the package calls it. Parallelograms are refused since
+    their pencil degenerates to the single midpoint member.
     """
     if q.is_parallelogram:
         raise IsParallelogram("the parallelogram family has a single admissible center")
-    gx = sum(x for x, _ in q.vertices) / 4.0
-    gy = sum(y for _, y in q.vertices) / 4.0
-    local_vertices = tuple((x - gx, y - gy) for x, y in q.vertices)
+    frame, back = unit_frame(q)
 
     def area_at(u: float) -> float:
-        a = ellipse_area_of_coeffs(*_pencil_conic(local_vertices, u).as_tuple())
+        a = ellipse_area_of_coeffs(*_pencil_conic(frame.vertices, u).as_tuple())
         return a if math.isfinite(a) else 0.0
 
     lam, _ = golden_max(area_at, 0.0, 1.0, tol=1e-12)
-    m1, m2 = diagonal_midpoints(q)
-    center = (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
-    return ellipse_at_center(q, center)
+    return _pencil_member(q, frame, back, lam)
 
 
 def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
@@ -421,22 +410,19 @@ def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
     if count < 1:
         raise ParameterOutOfRange(f"sample count must be positive, got {count}")
     rows: list[tuple[float, float, Point]] = []
+    frame, back = unit_frame(q)
     if q.is_parallelogram:
-        frame = parallelogram_frame(q)
+        pf = parallelogram_frame(frame)
+        placement = back.compose(pf.placement)
         for i in range(count):
-            v = frame.k * (i + 1.0) / (count + 1.0)
-            member = _place_member(
-                parallelogram_family(frame.l, frame.k, frame.d, v), frame.placement
-            )
-            rows.append((v, ellipse_area(member.geom), member.geom.center))
+            v = pf.k * (i + 1.0) / (count + 1.0)
+            member = _place_member(parallelogram_family(pf.l, pf.k, pf.d, v), placement)
+            rows.append((member.parameter, ellipse_area(member.geom), member.geom.center))
         return rows
-    gx = sum(x for x, _ in q.vertices) / 4.0
-    gy = sum(y for _, y in q.vertices) / 4.0
-    local_vertices = tuple((x - gx, y - gy) for x, y in q.vertices)
     m1, m2 = diagonal_midpoints(q)
     for i in range(count):
         lam = (i + 1.0) / (count + 1.0)
-        area = ellipse_area_of_coeffs(*_pencil_conic(local_vertices, lam).as_tuple())
+        area = ellipse_area_of_coeffs(*_pencil_conic(frame.vertices, lam).as_tuple()) * back.det()
         center = (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
         rows.append((lam, area, center))
     return rows

@@ -10,7 +10,7 @@ refused because one of s, t degenerates to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     CanonicalFormViolated,
@@ -147,14 +147,31 @@ def validate(points) -> ConvexQuad:
 
 
 def quad_area(q: ConvexQuad) -> float:
-    """Shoelace area; positive for the counterclockwise vertex order."""
+    """Half the cross product of the diagonals; positive for the
+    counterclockwise vertex order.
+
+    Unlike the shoelace sum, it multiplies only vertex differences, so a
+    quad far from the origin keeps its digits.
+    """
     v = q.vertices
-    acc = 0.0
-    for i in range(4):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % 4]
-        acc += x0 * y1 - x1 * y0
-    return 0.5 * acc
+    return 0.5 * cross2(sub2(v[2], v[0]), sub2(v[3], v[1]))
+
+
+def unit_frame(q: ConvexQuad) -> tuple[ConvexQuad, AffineMap]:
+    """The quad moved to its vertex centroid and divided by its largest
+    coordinate magnitude, and the map taking that frame back onto q.
+
+    Pencil and conic coefficients built in this frame are O(1) whatever the
+    quad's units and placement. Flags and vertex order are unchanged.
+    """
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q.vertices
+    cx = (x0 + x1 + x2 + x3) / 4.0
+    cy = (y0 + y1 + y2 + y3) / 4.0
+    x0, x1, x2, x3 = x0 - cx, x1 - cx, x2 - cx, x3 - cx
+    y0, y1, y2, y3 = y0 - cy, y1 - cy, y2 - cy, y3 - cy
+    k = max(abs(x0), abs(y0), abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3))
+    vertices = ((x0 / k, y0 / k), (x1 / k, y1 / k), (x2 / k, y2 / k), (x3 / k, y3 / k))
+    return replace(q, vertices=vertices), AffineMap(k, 0.0, 0.0, k, cx, cy)
 
 
 def diagonal_midpoints(q: ConvexQuad) -> tuple[Point, Point]:
@@ -187,6 +204,15 @@ def _anchor_index(q: ConvexQuad) -> int:
     return best
 
 
+def require_canonical_pair(s: float, t: float) -> None:
+    """Raise CanonicalFormViolated unless (s, t) is the far vertex of a
+    canonical quad: s, t > 0, s + t > 1 and s != 1 != t."""
+    if not (s > 0.0 and t > 0.0 and s + t > 1.0) or s == 1.0 or t == 1.0:
+        raise CanonicalFormViolated(
+            f"(s, t) = ({s}, {t}) must satisfy s, t > 0, s + t > 1, s != 1 != t"
+        )
+
+
 def normalize(q: ConvexQuad) -> NormalizedQuad:
     """Affinely map a convex non-trapezoid onto its canonical (s, t) form.
 
@@ -207,10 +233,7 @@ def normalize(q: ConvexQuad) -> NormalizedQuad:
     from_canonical = AffineMap(e1[0], e2[0], e1[1], e2[1], anchor[0], anchor[1])
     to_canonical = from_canonical.inverse()
     s, t = to_canonical(v[(i + 2) % 4])
-    if not (s > 0.0 and t > 0.0 and s + t > 1.0) or s == 1.0 or t == 1.0:
-        raise CanonicalFormViolated(
-            f"canonical pair (s, t) = ({s}, {t}) violates s, t > 0, s + t > 1, s != 1 != t"
-        )
+    require_canonical_pair(s, t)
     return NormalizedQuad(s=s, t=t, to_canonical=to_canonical, from_canonical=from_canonical)
 
 
@@ -224,6 +247,7 @@ def parallelogram_frame(q: ConvexQuad) -> ParallelogramFrame:
     if not q.is_parallelogram:
         raise NotParallelogram("parallelogram_frame requires both opposite side pairs parallel")
     v = q.vertices
+    frames = []
     for base in (0, 1):
         a = v[base]
         u = sub2(v[(base + 1) % 4], a)
@@ -235,7 +259,11 @@ def parallelogram_frame(q: ConvexQuad) -> ParallelogramFrame:
         k = -st * w[0] + ct * w[1]
         if abs(d) <= 1e-12 * l:
             d = 0.0
+        frame = ParallelogramFrame(l=l, k=k, d=d, placement=AffineMap(ct, -st, st, ct, a[0], a[1]))
         if d >= 0.0:
-            placement = AffineMap(ct, -st, st, ct, a[0], a[1])
-            return ParallelogramFrame(l=l, k=k, d=d, placement=placement)
-    raise NotParallelogram("no base side yields a nonnegative shear")  # pragma: no cover
+            return frame
+        frames.append(frame)
+    # An exact parallelogram has a base with d >= 0. Within the flag's
+    # tolerance both shears can come out slightly negative: take the larger
+    # and snap it to 0.
+    return replace(max(frames, key=lambda f: f.d), d=0.0)

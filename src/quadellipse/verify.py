@@ -27,12 +27,11 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bestfit import best_fit_line, slope_identities
 from .conic import ConicCoeffs, ellipse_area, ellipse_area_of_coeffs, foci
 from .errors import (
-    CanonicalFormViolated,
     DegenerateVertices,
     DomainError,
     IdentityMismatch,
@@ -43,7 +42,6 @@ from .errors import (
 from .family import (
     ellipse_at_center,
     locus_line,
-    max_area_by_search,
     max_area_ellipse,
     max_area_param,
     midpoint_ellipse,
@@ -56,6 +54,8 @@ from .quad import (
     normalize,
     parallelogram_frame,
     quad_area,
+    require_canonical_pair,
+    unit_frame,
     validate,
 )
 
@@ -95,15 +95,8 @@ class ProofVars:
     case: int
 
 
-def _require_canonical_pair(s: float, t: float) -> None:
-    if not (s > 0.0 and t > 0.0 and s + t > 1.0) or s == 1.0 or t == 1.0:
-        raise CanonicalFormViolated(
-            f"(s, t) = ({s}, {t}) must satisfy s, t > 0, s + t > 1, s != 1 != t"
-        )
-
-
 def proof_vars(s: float, t: float) -> ProofVars:
-    _require_canonical_pair(s, t)
+    require_canonical_pair(s, t)
     u = s + t - 1.0
     v = s * t
     if u < v:
@@ -221,7 +214,7 @@ def check_ratio_formula(s: float, t: float) -> float:
     violations raise IdentityMismatch. The result is symmetric in (s, t)
     by construction: the pair is sorted before evaluating.
     """
-    _require_canonical_pair(s, t)
+    require_canonical_pair(s, t)
     s, t = (s, t) if s <= t else (t, s)
     rb = math.sqrt(b_fn(s, t))
     f1 = 2.0 * t * s - s - t + 1.0 - rb
@@ -259,16 +252,11 @@ class InequalityReport:
 def check_area_inequality(q: ConvexQuad, quad_id: str = "") -> InequalityReport:
     """Ratio of the maximal inscribed ellipse area to the quad area.
 
-    Parallelograms and general quads use the closed-form maximal member;
-    other trapezoids fall back to golden-section search over the tangent
-    pencil. The gap pi/4 - ratio is zero (to rounding) exactly for
-    parallelograms and strictly positive otherwise.
+    Every quad, trapezoids included, uses the closed-form maximal member of
+    max_area_ellipse. The gap pi/4 - ratio is zero (to rounding) exactly
+    for parallelograms and strictly positive otherwise.
     """
-    if q.is_trapezoid and not q.is_parallelogram:
-        member = max_area_by_search(q)
-    else:
-        member = max_area_ellipse(q)
-    ratio = ellipse_area(member.geom) / quad_area(q)
+    ratio = ellipse_area(max_area_ellipse(q).geom) / quad_area(q)
     return InequalityReport(
         quad_id=quad_id,
         ratio=ratio,
@@ -370,18 +358,6 @@ def _line_pair(p: Line, r: Line) -> tuple[float, float, float, float, float, flo
     )
 
 
-def _unit_frame(q: ConvexQuad) -> ConvexQuad:
-    """The quad translated to its vertex centroid and divided by its largest
-    coordinate magnitude, so pencil coefficients are O(1) whatever the
-    quad's units and placement. Flags and vertex order are unchanged."""
-    v = q.vertices
-    cx = sum(x for x, _ in v) / 4.0
-    cy = sum(y for _, y in v) / 4.0
-    moved = tuple((x - cx, y - cy) for x, y in v)
-    k = max(max(abs(x), abs(y)) for x, y in moved)
-    return replace(q, vertices=tuple((x / k, y / k) for x, y in moved))
-
-
 def _vertex_pencil(q: ConvexQuad):
     """Base and direction of the pencil of conics through the vertices,
     the coefficients (q2, q1, q0) of its quadratic-part determinant, and
@@ -462,7 +438,7 @@ def circumscribed_min_ratio(q: ConvexQuad) -> float:
     area. The winning conic is checked to pass through all four vertices,
     to 1e-9 in that frame, before the ratio is reported.
     """
-    frame = _unit_frame(q)
+    frame, _ = unit_frame(q)
     base, delta, det2, lo, hi = _vertex_pencil(frame)
     best_mu, best_area = math.nan, math.inf
     for mu in _stationary_points(base, delta, det2, lo, hi):
@@ -554,7 +530,7 @@ def sample_convex_quad(
                 continue
             try:
                 nq = normalize(q)
-            except (CanonicalFormViolated, QuadEllipseError):
+            except QuadEllipseError:
                 continue
             if min(abs(nq.s - 1.0), abs(nq.t - 1.0)) < _UNIT_MARGIN:
                 continue

@@ -103,12 +103,14 @@ class TestMaxEllipse:
         assert payload["ratio"] == pytest.approx(math.pi / 4.0, rel=1e-12)
         assert payload["method"] == "closed-form"
 
-    def test_trapezoid_uses_search(self, doc, capsys):
+    def test_trapezoid_uses_closed_form(self, doc, capsys):
         trap = {"vertices": [[0, 0], [4, 0], [3, 1], [1, 1]]}
         code, payload = run_json(capsys, ["max-ellipse", doc(trap)])
         assert code == 0
-        assert payload["method"] == "search"
-        assert payload["ratio"] < math.pi / 4.0
+        assert payload["method"] == "closed-form"
+        # Parallel sides 4 and 2: (pi/2) sqrt(pr) / (p + r).
+        want = 0.5 * math.pi * math.sqrt(8.0) / 6.0
+        assert payload["ratio"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_tangency_has_four_points(self, doc, capsys):
         code, payload = run_json(capsys, ["max-ellipse", doc(GENERIC)])

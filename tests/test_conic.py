@@ -49,6 +49,14 @@ class TestClassify:
         kind = classify_conic(tilted)
         assert classify_conic(tilted.scaled(-7.5)) is kind
 
+    def test_thin_ellipse_is_an_ellipse_in_any_units(self):
+        # Aspect 1e-3: in unit coordinates det3 is ~1e-12 of the cubed
+        # coefficient scale, yet the kind must not depend on the units.
+        thin = geometry_to_conic(EllipseGeom(center=(0.3, -0.2), a=1.0, b=1e-3, phi=0.4))
+        for k in (1e-6, 1.0, 1e6):
+            scaled = conic_transform(thin, AffineMap(k, 0.0, 0.0, k, 0.0, 0.0))
+            assert classify_conic(scaled) is ConicKind.ELLIPSE, k
+
     def test_all_zero_quadratic_part_rejected(self):
         with pytest.raises(ValueError):
             ConicCoeffs(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
@@ -105,6 +113,16 @@ class TestEllipseRoundtrip:
         for theta in np.linspace(0.0, 2.0 * math.pi, 17):
             x, y = geom.boundary_point(theta)
             assert abs(conic.evaluate(x, y)) < 1e-9 * scale * (1.0 + x * x + y * y)
+
+    def test_circle_keeps_axis_order(self):
+        # Here det2 / lam_max = a*a / a rounds above a; the semi-axes must
+        # come out equal, not swapped into an invalid EllipseGeom.
+        conic = ConicCoeffs(
+            220.90271625578177, 220.90271625578177, 0.0,
+            157.25927811343888, -1135.8762639933914, 1487.1498402828354,
+        )
+        back = conic_to_ellipse(conic)
+        assert back.a == back.b
 
     def test_conic_to_ellipse_rejects_hyperbola(self):
         with pytest.raises(NotAnEllipse):

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quadellipse.conic import (
     ConicKind,
@@ -14,7 +16,7 @@ from quadellipse.errors import (
     CenterOffLocus,
     IsParallelogram,
     ParameterOutOfRange,
-    TrapezoidUnsupported,
+    QuadEllipseError,
 )
 from quadellipse.family import (
     area_sq,
@@ -34,9 +36,26 @@ from quadellipse.quad import parallelogram_frame, quad_area, validate
 
 GENERIC = validate(((0.0, 0.0), (1.0, 0.0), (2.0, 3.0), (0.0, 1.0)))
 
+# Area / diameter^2 = 6.8e-4, sides 1 and 3 parallel: its maximal member has
+# aspect ~1e-3, which a degeneracy test tied to coordinate units refuses.
+THIN_TRAPEZOID = (
+    (-15.423665215509395, 2.9106699605767044),
+    (-11.284400999334729, 2.923599932738859),
+    (20.12996830657746, 3.372806725002258),
+    (-9.817647353875547, 2.9908326809061534),
+)
+
+
+EPS = 2.0**-52
+
 
 def canonical_quad(s, t):
     return validate(((0.0, 0.0), (1.0, 0.0), (s, t), (0.0, 1.0)))
+
+
+def inscribed_ratio(verts):
+    q = validate(verts)
+    return ellipse_area(max_area_ellipse(q).geom) / quad_area(q)
 
 
 class TestRectangleFamily:
@@ -184,6 +203,17 @@ class TestLocusAndAreaProfile:
             grid = np.linspace(lo, hi, 400)
             assert best >= max(area_sq(float(g), s, t) for g in grid) - 1e-12 * best
 
+    def test_matches_radical_form(self):
+        # The paper's radical abscissa, which cancels only near t = 1.
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            s, t = (float(x) for x in rng.uniform(0.05, 6.0, size=2))
+            if s + t <= 1.05 or min(abs(s - 1.0), abs(t - 1.0)) < 0.05:
+                continue
+            rad = (t - 1.0) ** 2 + s * s * (t * t - t + 1.0) - s * (t * t - 3.0 * t + 2.0)
+            want = (s * t + t - 2.0 * s - 1.0 + math.sqrt(rad)) / (6.0 * (t - 1.0))
+            assert max_area_param(s, t) == pytest.approx(want, rel=1e-12, abs=0.0), (s, t)
+
     def test_near_unit_t_uses_stable_branch(self):
         # Either side of the |t - 1| switchover must give the same abscissa.
         s = 3.0
@@ -270,10 +300,25 @@ class TestMaximalMember:
             math.pi / 4.0, rel=1e-12
         )
 
-    def test_trapezoid_refused_in_closed_form(self):
-        q = validate(((0.0, 0.0), (4.0, 0.0), (3.0, 1.0), (1.0, 1.0)))
-        with pytest.raises(TrapezoidUnsupported):
-            max_area_ellipse(q)
+    @pytest.mark.parametrize(
+        "verts, p, r",
+        [
+            (((0.0, 0.0), (4.0, 0.0), (3.0, 1.0), (1.0, 1.0)), 4.0, 2.0),
+            (((0.0, 0.0), (1.0, 0.0), (1.0, 3.0), (0.0, 1.0)), 3.0, 1.0),
+            (((0.0, 0.0), (8.0, 0.5), (6.0, 2.5), (2.0, 2.25)), math.hypot(8.0, 0.5), math.hypot(4.0, 0.25)),
+            (THIN_TRAPEZOID, math.dist(*THIN_TRAPEZOID[1:3]), math.dist(THIN_TRAPEZOID[3], THIN_TRAPEZOID[0])),
+        ],
+        ids=["isosceles", "right", "oblique", "thin"],
+    )
+    def test_trapezoid_takes_the_closed_form(self, verts, p, r):
+        # Parallel sides of lengths p and r: the ratio is (pi/2) sqrt(pr) / (p + r).
+        q = validate(verts)
+        assert q.is_trapezoid and not q.is_parallelogram
+        member = max_area_ellipse(q)
+        ratio = ellipse_area(member.geom) / quad_area(q)
+        assert ratio == pytest.approx(0.5 * math.pi * math.sqrt(p * r) / (p + r), rel=1e-12, abs=0.0)
+        searched = ellipse_area(max_area_by_search(q).geom) / quad_area(q)
+        assert ratio == pytest.approx(searched, rel=1e-9, abs=0.0)
 
     def test_trapezoid_by_search_stays_under_bound(self):
         q = validate(((0.0, 0.0), (4.0, 0.0), (3.0, 1.0), (1.0, 1.0)))
@@ -336,3 +381,66 @@ class TestFamilyAreas:
     def test_count_validation(self):
         with pytest.raises(ParameterOutOfRange):
             family_areas(GENERIC, 0)
+
+
+def _diameter(verts):
+    return max(math.dist(p, q) for p in verts for q in verts)
+
+
+class TestPlacementInvariance:
+    """The inscribed ratio depends only on the quad's shape: under a
+    similarity map it must keep its value, or the call must raise a typed
+    error, which only a thin quad (area / diameter^2 < 1e-3) may do."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.just(1.0), st.floats(0.05, 4.0)),
+        st.one_of(st.just(1.0), st.floats(0.05, 4.0)),
+        st.floats(-1.0, 1.0),
+        st.floats(-3.0, 0.0),
+        st.floats(-8.0, 8.0),
+        st.floats(0.0, 2.0 * math.pi),
+        st.one_of(st.just(0.0), st.floats(0.0, 6.0).map(lambda e: 10.0**e)),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_ratio_survives_similarity_maps(
+        self, s, t, shear, log_aspect, log_scale, angle, diams, direction
+    ):
+        # A canonical quad (trapezoids and parallelograms included) under a
+        # shear and a squash, then scaled, rotated and moved off the origin.
+        assume(s + t > 1.05)
+        aspect = 10.0**log_aspect
+        base = tuple(
+            (x + shear * y, aspect * y) for x, y in ((0.0, 0.0), (1.0, 0.0), (s, t), (0.0, 1.0))
+        )
+        k = 10.0**log_scale
+        c, sn = k * math.cos(angle), k * math.sin(angle)
+        placed = tuple((c * x - sn * y, sn * x + c * y) for x, y in base)
+        off = diams * k * _diameter(base)
+        ox, oy = off * math.cos(direction), off * math.sin(direction)
+        moved = tuple((x + ox, y + oy) for x, y in placed)
+        # The offset reference sees the rounded input, translated back exactly.
+        back = tuple(
+            (float(Fraction(x) - Fraction(ox)), float(Fraction(y) - Fraction(oy))) for x, y in moved
+        )
+        try:
+            want = inscribed_ratio(base)
+            rotated = inscribed_ratio(placed)
+            got, ref = inscribed_ratio(moved), inscribed_ratio(back)
+        except QuadEllipseError:
+            (x0, y0), (x1, y1), (x2, y2), (x3, y3) = base
+            area = 0.5 * abs((x2 - x0) * (y3 - y1) - (y2 - y0) * (x3 - x1))
+            assert area / _diameter(base) ** 2 < 1e-3
+            return
+        assert abs(rotated - want) <= 1e-9 * want
+        assert abs(got - ref) <= (1e-9 + 64.0 * diams * EPS) * ref
+
+    def test_ratio_is_continuous_across_the_trapezoid_flag(self):
+        trap = ((0.0, 0.0), (4.0, 0.0), (3.0, 1.0), (1.0, 1.0))
+        want = inscribed_ratio(trap)
+        flags = []
+        for nudge in (1e-11, 2e-10):
+            verts = ((0.0, 0.0), (4.0, 0.0), (3.0, 1.0 + nudge), (1.0, 1.0))
+            flags.append(validate(verts).is_trapezoid)
+            assert abs(inscribed_ratio(verts) - want) < 1e-9, nudge
+        assert flags == [True, False]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from quadellipse.quad import (
     normalize,
     parallelogram_frame,
     quad_area,
+    unit_frame,
     validate,
 )
 
@@ -100,6 +102,20 @@ class TestAreaAndMidpoints:
             q = validate(((0.0, 0.0), (1.0, 0.0), (s, t), (0.0, 1.0)))
             assert quad_area(q) == pytest.approx((s + t) / 2.0)
 
+    @pytest.mark.parametrize("verts", [GENERIC, KITE, ((0.1, 0.2), (3.0, 0.0), (2.2, 1.3), (0.4, 1.1))])
+    def test_area_far_from_origin(self, verts):
+        # Reference: the shoelace sum of the rounded input, in exact arithmetic.
+        diam = validate(verts).diameter()
+        for diams in (1.0, 1e2, 1e4, 1e6, 1e8):
+            for angle in (0.3, 2.0, 4.0):
+                ox, oy = diams * diam * math.cos(angle), diams * diam * math.sin(angle)
+                q = validate(tuple((x + ox, y + oy) for x, y in verts))
+                v = [(Fraction(x), Fraction(y)) for x, y in q.vertices]
+                exact = sum(
+                    v[i][0] * v[(i + 1) % 4][1] - v[(i + 1) % 4][0] * v[i][1] for i in range(4)
+                ) / 2
+                assert abs(Fraction(quad_area(q)) - exact) <= Fraction(1e-15) * abs(exact), (diams, angle)
+
     def test_diagonal_midpoints(self):
         m1, m2 = diagonal_midpoints(validate(GENERIC))
         assert m1 == pytest.approx((0.5, 0.5))
@@ -108,6 +124,19 @@ class TestAreaAndMidpoints:
     def test_midpoints_coincide_for_parallelogram(self):
         m1, m2 = diagonal_midpoints(validate(SQUARE))
         assert m1 == pytest.approx(m2)
+
+
+class TestUnitFrame:
+    def test_frame_is_centred_unit_and_maps_back(self):
+        q = validate(tuple((3e5 + 40.0 * x, -7e5 + 40.0 * y) for x, y in KITE))
+        frame, back = unit_frame(q)
+        assert frame.vertices != q.vertices
+        assert (frame.is_parallelogram, frame.is_trapezoid) == (q.is_parallelogram, q.is_trapezoid)
+        assert max(max(abs(x), abs(y)) for x, y in frame.vertices) == 1.0
+        assert sum(x for x, _ in frame.vertices) == pytest.approx(0.0, abs=1e-15)
+        assert sum(y for _, y in frame.vertices) == pytest.approx(0.0, abs=1e-15)
+        for p, want in zip(frame.vertices, q.vertices):
+            assert back(p) == pytest.approx(want, rel=1e-15)
 
 
 class TestNormalize:
@@ -181,6 +210,18 @@ class TestParallelogramFrame:
         frame = parallelogram_frame(q)
         placed = frame.placed_corners()
         assert sorted(placed) == pytest.approx(sorted(q.vertices), abs=1e-12)
+
+    def test_near_rectangle_with_both_shears_negative(self):
+        # A unit square turned by 1 rad and moved 4.5e5 away: rounding leaves
+        # both candidate shears slightly negative, so the frame snaps d to 0.
+        c, s = math.cos(1.0), math.sin(1.0)
+        off = 10.0**5.5 * math.sqrt(2.0)
+        q = validate(tuple((c * x - s * y + off, s * x + c * y) for x, y in SQUARE))
+        assert q.is_parallelogram
+        frame = parallelogram_frame(q)
+        assert frame.d == 0.0
+        for got, want in zip(sorted(frame.placed_corners()), sorted(q.vertices)):
+            assert math.dist(got, want) < 1e-9
 
     def test_shear_is_nonnegative(self):
         rng = np.random.default_rng(3)

@@ -14,11 +14,16 @@ from quadellipse.errors import (
 from quadellipse.family import midpoint_ellipse
 from quadellipse import verify
 from quadellipse.geom import AffineMap, golden_min
-from quadellipse.quad import ParallelogramFrame, parallelogram_frame, quad_area, validate
+from quadellipse.quad import (
+    ParallelogramFrame,
+    parallelogram_frame,
+    quad_area,
+    unit_frame,
+    validate,
+)
 from quadellipse.verify import (
     _scan_slot,
     _stationary_points,
-    _unit_frame,
     _vertex_pencil,
     b_fn,
     c_fn,
@@ -205,11 +210,12 @@ class TestInequalityAndInterval:
         assert not report.is_parallelogram
         assert report.bound_gap > 1e-4
 
-    def test_trapezoid_goes_through_search(self):
+    def test_trapezoid_takes_the_closed_form(self):
+        # Parallel sides 4 and 2: the ratio is (pi/2) sqrt(pr) / (p + r).
         q = validate(((0.0, 0.0), (4.0, 0.0), (3.0, 1.0), (1.0, 1.0)))
         report = check_area_inequality(q)
         assert report.is_trapezoid and not report.is_parallelogram
-        assert 0.0 < report.ratio < math.pi / 4.0
+        assert report.ratio == pytest.approx(HALF_PI * math.sqrt(8.0) / 6.0, rel=1e-12, abs=0.0)
 
     def test_interval_membership_across_regimes(self):
         counts = check_lemma22(200, seed=12)
@@ -291,7 +297,7 @@ class TestCircumscribed:
         worst, multi = 0.0, {}
         for index in range(1, 2001):
             q = validate(scan_sample_vertices(42, index))
-            frame = _unit_frame(q)
+            frame, _ = unit_frame(q)
             got = circumscribed_min_ratio(q)
             want = golden_oracle_ratio(frame)
             worst = max(worst, abs(got - want) / want)
@@ -305,7 +311,7 @@ class TestCircumscribed:
 
     def test_picks_smallest_of_several_stationary_points(self):
         q = validate(scan_sample_vertices(42, 42))
-        frame = _unit_frame(q)
+        frame, _ = unit_frame(q)
         base, delta, det2, lo, hi = _vertex_pencil(frame)
         points = _stationary_points(base, delta, det2, lo, hi)
         assert len(points) == 3
@@ -443,7 +449,7 @@ _PINNED_SCAN_200_42 = {
         (1.057255021629473, 0.8171555218102788), (0.4672792407398718, 1.2421993879555087),
     ),
     "histogram": (114, 16, 8, 6, 4, 8, 3, 7, 4, 4, 2, 5, 0, 1, 1, 17),
-    "min_ratio": 1.5707963267947702,
+    "min_ratio": 1.5707963267947689,
 }
 
 
