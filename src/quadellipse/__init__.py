@@ -72,12 +72,13 @@ from .quad import (
     ConvexQuad,
     NormalizedQuad,
     ParallelogramFrame,
+    diagonal_frame,
     diagonal_midpoints,
+    frame_vertices,
     normalize,
     parallelogram_frame,
     quad_area,
     require_canonical_pair,
-    unit_frame,
     validate,
 )
 from .svgfig import Scene, render_svg

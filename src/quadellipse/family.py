@@ -4,8 +4,10 @@ Closed-form one-parameter families for rectangles and parallelograms, the
 center locus and area profile in the canonical (s, t) frame, the dual-pencil
 construction that produces the unique inscribed ellipse at any admissible
 center, and the maximal-area member in closed form for every convex quad.
-Members of a given quad are built in its unit frame (quad.unit_frame) and
-placed back, so units and placement do not cost digits.
+Members of a given quad are built in its diagonal frame (quad.diagonal_frame),
+where the diagonals are perpendicular unit segments, and mapped back; units,
+placement and aspect do not cost digits. Parallelogram-frame members are
+built on the frame divided by its extent and scaled back the same way.
 
 The dual pencil: tangency to all four side lines means the dual conic passes
 through four fixed dual points. That pencil is spanned by the two degenerate
@@ -19,7 +21,7 @@ the diagonal midpoints and the pencil parameter solves a linear condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .conic import (
     ConicCoeffs,
@@ -39,15 +41,16 @@ from .errors import (
     OptimizationFailed,
     ParameterOutOfRange,
 )
-from .geom import AffineMap, Line, Point, cross2, golden_max, quadratic_roots, sub2
+from .geom import AffineMap, Line, Point, golden_max, quadratic_roots
 from .quad import (
     ConvexQuad,
     ParallelogramFrame,
+    _anchor_index,
+    diagonal_frame,
     diagonal_midpoints,
-    normalize,
+    frame_vertices,
     parallelogram_frame,
     require_canonical_pair,
-    unit_frame,
 )
 
 _LAM_EDGE = 1e-12
@@ -180,25 +183,48 @@ def parallelogram_family(l: float, k: float, d: float, v: float) -> InscribedMem
 
 
 def _place_member(member: InscribedMember, placement: AffineMap) -> InscribedMember:
-    """Push a frame-coordinate member through a similarity placement (a
-    rotation times a uniform scale, plus a shift).
+    """Push a frame-coordinate member through an affine placement.
 
-    The semi-axes, and the tangency height of a "v" member, are carried
-    over times the scale; re-deriving them from the transformed conic loses
-    digits to the placement offset.
+    The center and the tangency points go through the map. The image
+    ellipse is center + M u over unit vectors u, with M = L R(phi) diag(a, b)
+    and L the placement's linear part; its semi-axes are M's singular values
+    and its angle that of M's leading left singular vector, both in closed
+    form for 2x2. The minor axis is |det L| a b / major, which cancels
+    nothing however thin the image. A circle has no axis and, as in
+    conic_to_ellipse, gets angle 0.
     """
-    scale = math.hypot(placement.m00, placement.m10)
-    theta = math.atan2(placement.m10, placement.m00)
     g = member.geom
+    cp, sp = math.cos(g.phi), math.sin(g.phi)
+    m00 = (placement.m00 * cp + placement.m01 * sp) * g.a
+    m10 = (placement.m10 * cp + placement.m11 * sp) * g.a
+    m01 = (placement.m01 * cp - placement.m00 * sp) * g.b
+    m11 = (placement.m11 * cp - placement.m10 * sp) * g.b
+    e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+    h, k = 0.5 * (m10 - m01), 0.5 * (m10 + m01)
+    spread = math.hypot(f, k)
+    major = math.hypot(e, h) + spread
+    minor = min(abs(placement.det()) * g.a * g.b / major, major)
+    phi = 0.5 * (math.atan2(k, f) + math.atan2(h, e)) if spread > 1e-14 * major else 0.0
     return InscribedMember(
-        parameter=member.parameter * scale if member.param_kind == "v" else member.parameter,
+        parameter=member.parameter,
         param_kind=member.param_kind,
         conic=conic_transform(member.conic, placement).canonical(),
-        geom=EllipseGeom(
-            center=placement(g.center), a=g.a * scale, b=g.b * scale, phi=g.phi + theta
-        ),
+        geom=EllipseGeom(center=placement(g.center), a=major, b=minor, phi=phi),
         tangency=tuple(placement(p) for p in member.tangency),
     )
+
+
+def _frame_member(frame: ParallelogramFrame, v: float) -> InscribedMember:
+    """The frame-family member tangent at height v, placed on the input.
+
+    It is built on the frame divided by its extent, so that tangency is
+    checked where the frame's coordinates lie in [0, 1] whatever the
+    input's units, and mapped back by the placement times that extent.
+    """
+    size = max(frame.l + frame.d, frame.k)
+    member = parallelogram_family(frame.l / size, frame.k / size, frame.d / size, v / size)
+    scale = AffineMap(size, 0.0, 0.0, size)
+    return replace(_place_member(member, frame.placement.compose(scale)), parameter=v)
 
 
 def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
@@ -209,9 +235,7 @@ def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
     parallelogram, with area (pi/4) * l * k, a quarter-pi of the
     parallelogram area.
     """
-    return _place_member(
-        parallelogram_family(frame.l, frame.k, frame.d, 0.5 * frame.k), frame.placement
-    )
+    return _frame_member(frame, 0.5 * frame.k)
 
 
 def locus_line(s: float, t: float) -> CenterLocus:
@@ -236,20 +260,19 @@ def area_sq(h: float, s: float, t: float) -> float:
     return (math.pi * math.pi / (4.0 * sm1 * sm1)) * poly
 
 
-def _max_area_lambda(s: float, t: float) -> float:
-    """Position lam of the maximal-area center along M1 -> M2 for the far
-    vertex (s, t) of the quad mapped onto (0,0), (1,0), (s,t), (0,1).
+def _max_area_lambda(a: float, b: float) -> float:
+    """Position lam of the maximal-area center along M1 -> M2.
 
-    With A = s + t - 1 and B = (s - 1)(t - 1), the squared area along the
-    segment is (pi^2 / 4) lam (1 - lam) (A + B lam) (Horwitz, Austral. J.
-    Math. Anal. Appl., 2005). Its derivative -3B lam^2 + 2(B - A) lam + A is
-    A > 0 at lam = 0 and -st < 0 at lam = 1, so exactly one root lies in
-    (0, 1). The other root is negative for B > 0 and above 1 for B < 0, so
-    the wanted root is the smallest positive one; a trapezoid (B = 0) leaves
-    the linear equation and lam = 1/2.
+    For the quad mapped onto (0,0), (1,0), (s,t), (0,1), take A = s + t - 1
+    and B = (s - 1)(t - 1); the squared area along the segment is
+    (pi^2 / 4) lam (1 - lam) (A + B lam) (Horwitz, Austral. J. Math. Anal.
+    Appl., 2005). Its derivative -3B lam^2 + 2(B - A) lam + A is A > 0 at
+    lam = 0 and -st < 0 at lam = 1, so exactly one root lies in (0, 1). The
+    other root is negative for B > 0 and above 1 for B < 0, so the wanted
+    root is the smallest positive one; a trapezoid (B = 0) leaves the linear
+    equation and lam = 1/2. Any positive multiple of (A, B) gives the same
+    roots.
     """
-    a = s + t - 1.0
-    b = (s - 1.0) * (t - 1.0)
     return min(r for r in quadratic_roots(-3.0 * b, 2.0 * (b - a), a) if r > 0.0)
 
 
@@ -262,7 +285,7 @@ def max_area_param(s: float, t: float) -> float:
     near t = 1.
     """
     require_canonical_pair(s, t)
-    return 0.5 + 0.5 * (s - 1.0) * _max_area_lambda(s, t)
+    return 0.5 + 0.5 * (s - 1.0) * _max_area_lambda(s + t - 1.0, (s - 1.0) * (t - 1.0))
 
 
 def _sym3_points(p: Point, q: Point) -> tuple[float, float, float, float, float, float]:
@@ -301,60 +324,75 @@ def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
     """The unique inscribed ellipse of a convex quad with the given center.
 
     Admissible centers form the open segment between the diagonal midpoints;
-    anything off that segment (beyond 1e-9 of the diameter transversally, or
-    outside the open range) raises CenterOffLocus. Parallelograms collapse
-    the segment to a point and are refused.
+    anything off that segment (beyond 1e-9 transversally, measured in the
+    diagonal frame, where both diagonals have unit length, or outside the
+    open range) raises CenterOffLocus. Parallelograms collapse the segment
+    to a point and are refused.
     """
     if q.is_parallelogram:
         raise IsParallelogram(
             "parallelogram centers are fixed at the diagonal midpoint; "
             "use midpoint_ellipse on its frame"
         )
-    frame, back = unit_frame(q)
-    m1, m2 = diagonal_midpoints(frame)
+    alpha, beta, back = diagonal_frame(q)
     cx, cy = back.inverse()(center)
-    sx, sy = m2[0] - m1[0], m2[1] - m1[1]
-    wx, wy = cx - m1[0], cy - m1[1]
+    # In the frame M1 = (0, 1/2 - beta) and M2 = (1/2 - alpha, 0).
+    sx, sy = 0.5 - alpha, beta - 0.5
+    wx, wy = cx, cy + sy
     lam = (wx * sx + wy * sy) / (sx * sx + sy * sy)
-    off = math.hypot(wx - lam * sx, wy - lam * sy) / frame.diameter()
+    off = math.hypot(wx - lam * sx, wy - lam * sy)
     if off > 1e-9:
         raise CenterOffLocus(
-            f"center {center} lies {off:.3g} diameters off the diagonal-midpoint segment"
+            f"center {center} lies {off:.3g} off the diagonal-midpoint segment"
         )
     if not (_LAM_EDGE < lam < 1.0 - _LAM_EDGE):
         raise CenterOffLocus(
             f"center {center} falls outside the open midpoint segment (lam = {lam})"
         )
-    return _pencil_member(q, frame, back, lam)
+    return _pencil_member(q, alpha, beta, back, lam)
 
 
 def _pencil_member(
-    q: ConvexQuad, frame: ConvexQuad, back: AffineMap, lam: float
+    q: ConvexQuad, alpha: float, beta: float, back: AffineMap, lam: float
 ) -> InscribedMember:
-    """The inscribed ellipse of q centered at M1 + lam (M2 - M1), built on
-    its unit frame ``frame`` and placed back onto q by ``back``."""
-    conic = _pencil_conic(frame.vertices, lam).canonical()
+    """The inscribed ellipse of q centered at M1 + lam (M2 - M1), built in
+    q's diagonal frame (alpha, beta) and placed back onto q by ``back``.
+
+    Its parameter is "v" = k/2 for a parallelogram, "pencil" = lam for a
+    trapezoid, and otherwise the canonical abscissa "h" of the center for
+    the anchor normalize uses: relabelling the vertices from anchor i maps
+    (alpha, beta, lam) as below, and then s = (1 - beta) / alpha.
+    """
+    frame = frame_vertices(alpha, beta)
+    conic = _pencil_conic(frame, lam).canonical()
     if classify_conic(conic) is not ConicKind.ELLIPSE:
         raise CenterOffLocus("pencil member at the requested center is not a real ellipse")
     tangency = []
-    for i, side in enumerate(frame.sides()):
-        res = line_tangency(conic, side)
+    for i in range(4):
+        res = line_tangency(conic, Line.through(frame[i], frame[(i + 1) % 4]))
         if res.kind is not TangencyKind.TANGENT:
             raise CenterOffLocus(
                 f"member is not tangent to side {i} (residual {res.residual:.3g})"
             )
         tangency.append(res.point)
-    geom = conic_to_ellipse(conic)
-    if q.is_trapezoid:
+    if q.is_parallelogram:
+        parameter, kind = 0.5 * parallelogram_frame(q).k, "v"
+    elif q.is_trapezoid:
         parameter, kind = lam, "pencil"
     else:
-        parameter, kind = normalize(frame).to_canonical(geom.center)[0], "h"
+        a, b, u = (
+            (alpha, beta, lam),
+            (beta, 1.0 - alpha, 1.0 - lam),
+            (1.0 - alpha, 1.0 - beta, lam),
+            (1.0 - beta, alpha, 1.0 - lam),
+        )[_anchor_index(q)]
+        parameter, kind = 0.5 + 0.5 * ((1.0 - b) / a - 1.0) * u, "h"
     return _place_member(
         InscribedMember(
             parameter=parameter,
             param_kind=kind,
             conic=conic,
-            geom=geom,
+            geom=conic_to_ellipse(conic),
             tangency=tuple(tangency),
         ),
         back,
@@ -364,22 +402,19 @@ def _pencil_member(
 def max_area_ellipse(q: ConvexQuad) -> InscribedMember:
     """Maximal-area inscribed ellipse, in closed form for every convex quad.
 
-    Works on the quad's unit frame. A parallelogram's maximal member is its
-    midpoint ellipse. Any other quad is written v2 - v0 = s (v1 - v0) +
-    t (v3 - v0) (Cramer's rule), which puts the diagonal midpoints M1, M2 of
-    diagonal_midpoints at (1/2, 1/2) and (s/2, t/2); by Newton's theorem
+    Works in the quad's diagonal frame, (-alpha, 0), (0, -beta),
+    (1 - alpha, 0), (0, 1 - beta). There the diagonal midpoints are
+    M1 = (0, 1/2 - beta) and M2 = (1/2 - alpha, 0); by Newton's theorem
     every inscribed center lies on M1 -> M2, and the maximal one sits at the
-    lam of _max_area_lambda. Trapezoids have s or t equal to 1 and take the
-    same route.
+    root lam in (0, 1) of -3B lam^2 + 2(B - A) lam + A with A = alpha
+    (1 - alpha) and B = (1 - alpha - beta)(beta - alpha) (_max_area_lambda).
+    Trapezoids (B = 0) and parallelograms (alpha = beta = 1/2, where the
+    member is the circle of radius 1/(2 sqrt 2) in the frame) take the same
+    route.
     """
-    frame, back = unit_frame(q)
-    if q.is_parallelogram:
-        return _place_member(midpoint_ellipse(parallelogram_frame(frame)), back)
-    v0, v1, v2, v3 = frame.vertices
-    e1, e3, d = sub2(v1, v0), sub2(v3, v0), sub2(v2, v0)
-    det = cross2(e1, e3)
-    lam = _max_area_lambda(cross2(d, e3) / det, cross2(e1, d) / det)
-    return _pencil_member(q, frame, back, lam)
+    alpha, beta, back = diagonal_frame(q)
+    lam = _max_area_lambda(alpha * (1.0 - alpha), (1.0 - alpha - beta) * (beta - alpha))
+    return _pencil_member(q, alpha, beta, back, lam)
 
 
 def max_area_by_search(q: ConvexQuad) -> InscribedMember:
@@ -391,14 +426,15 @@ def max_area_by_search(q: ConvexQuad) -> InscribedMember:
     """
     if q.is_parallelogram:
         raise IsParallelogram("the parallelogram family has a single admissible center")
-    frame, back = unit_frame(q)
+    alpha, beta, back = diagonal_frame(q)
+    frame = frame_vertices(alpha, beta)
 
     def area_at(u: float) -> float:
-        a = ellipse_area_of_coeffs(*_pencil_conic(frame.vertices, u).as_tuple())
+        a = ellipse_area_of_coeffs(*_pencil_conic(frame, u).as_tuple())
         return a if math.isfinite(a) else 0.0
 
     lam, _ = golden_max(area_at, 0.0, 1.0, tol=1e-12)
-    return _pencil_member(q, frame, back, lam)
+    return _pencil_member(q, alpha, beta, back, lam)
 
 
 def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
@@ -410,19 +446,19 @@ def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
     if count < 1:
         raise ParameterOutOfRange(f"sample count must be positive, got {count}")
     rows: list[tuple[float, float, Point]] = []
-    frame, back = unit_frame(q)
     if q.is_parallelogram:
-        pf = parallelogram_frame(frame)
-        placement = back.compose(pf.placement)
+        pf = parallelogram_frame(q)
         for i in range(count):
             v = pf.k * (i + 1.0) / (count + 1.0)
-            member = _place_member(parallelogram_family(pf.l, pf.k, pf.d, v), placement)
-            rows.append((member.parameter, ellipse_area(member.geom), member.geom.center))
+            geom = _frame_member(pf, v).geom
+            rows.append((v, ellipse_area(geom), geom.center))
         return rows
+    alpha, beta, back = diagonal_frame(q)
+    frame = frame_vertices(alpha, beta)
     m1, m2 = diagonal_midpoints(q)
     for i in range(count):
         lam = (i + 1.0) / (count + 1.0)
-        area = ellipse_area_of_coeffs(*_pencil_conic(frame.vertices, lam).as_tuple()) * back.det()
+        area = ellipse_area_of_coeffs(*_pencil_conic(frame, lam).as_tuple()) * back.det()
         center = (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
         rows.append((lam, area, center))
     return rows

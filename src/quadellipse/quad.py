@@ -1,5 +1,6 @@
-"""Convex quadrilaterals: validation, classification flags, the canonical
-(s, t) form, diagonal midpoints, and parallelogram frames.
+"""Convex quadrilaterals: validation, classification flags, the diagonal
+frame, the canonical (s, t) form, diagonal midpoints, and parallelogram
+frames.
 
 The canonical form places one vertex at the origin, its two neighbors at
 (1, 0) and (0, 1), and the opposite vertex at (s, t) with s + t > 1 and
@@ -157,21 +158,30 @@ def quad_area(q: ConvexQuad) -> float:
     return 0.5 * cross2(sub2(v[2], v[0]), sub2(v[3], v[1]))
 
 
-def unit_frame(q: ConvexQuad) -> tuple[ConvexQuad, AffineMap]:
-    """The quad moved to its vertex centroid and divided by its largest
-    coordinate magnitude, and the map taking that frame back onto q.
+def diagonal_frame(q: ConvexQuad) -> tuple[float, float, AffineMap]:
+    """Where the diagonals cross, and the affine map built on them.
 
-    Pencil and conic coefficients built in this frame are O(1) whatever the
-    quad's units and placement. Flags and vertex order are unchanged.
+    The diagonals meet at P = v0 + alpha (v2 - v0) = v1 + beta (v3 - v1),
+    with alpha, beta in (0, 1) from Cramer's rule on vertex differences.
+    ``back`` maps (x, y) to P + x (v2 - v0) + y (v3 - v1), so the frame quad
+    (-alpha, 0), (0, -beta), (1 - alpha, 0), (0, 1 - beta) of frame_vertices
+    is carried onto q, vertex for vertex. Its diagonals are perpendicular
+    unit segments and its area is exactly 1/2: scale, placement and aspect
+    are gone, and only (alpha, beta) describe the shape. Parallelograms are
+    alpha = beta = 1/2; trapezoids have alpha = beta or alpha + beta = 1.
     """
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q.vertices
-    cx = (x0 + x1 + x2 + x3) / 4.0
-    cy = (y0 + y1 + y2 + y3) / 4.0
-    x0, x1, x2, x3 = x0 - cx, x1 - cx, x2 - cx, x3 - cx
-    y0, y1, y2, y3 = y0 - cy, y1 - cy, y2 - cy, y3 - cy
-    k = max(abs(x0), abs(y0), abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3))
-    vertices = ((x0 / k, y0 / k), (x1 / k, y1 / k), (x2 / k, y2 / k), (x3 / k, y3 / k))
-    return replace(q, vertices=vertices), AffineMap(k, 0.0, 0.0, k, cx, cy)
+    v0, v1, v2, v3 = q.vertices
+    d1, d2, w = sub2(v2, v0), sub2(v3, v1), sub2(v1, v0)
+    det = cross2(d1, d2)
+    alpha = cross2(w, d2) / det
+    beta = cross2(w, d1) / det
+    back = AffineMap(d1[0], d2[0], d1[1], d2[1], v0[0] + alpha * d1[0], v0[1] + alpha * d1[1])
+    return alpha, beta, back
+
+
+def frame_vertices(alpha: float, beta: float) -> tuple[Point, Point, Point, Point]:
+    """Vertices of the diagonal-frame quad, in the input's vertex order."""
+    return ((-alpha, 0.0), (0.0, -beta), (1.0 - alpha, 0.0), (0.0, 1.0 - beta))
 
 
 def diagonal_midpoints(q: ConvexQuad) -> tuple[Point, Point]:
@@ -218,7 +228,9 @@ def normalize(q: ConvexQuad) -> NormalizedQuad:
 
     The anchor vertex goes to the origin, its counterclockwise successor to
     (1, 0), its predecessor to (0, 1), and the opposite vertex to (s, t).
-    Trapezoids (including parallelograms) are refused.
+    (s, t) come from Cramer's rule on vertex differences, so a quad far from
+    the origin keeps its digits. Trapezoids (including parallelograms) are
+    refused.
     """
     if q.is_trapezoid or q.is_parallelogram:
         raise IsTrapezoid(
@@ -230,9 +242,11 @@ def normalize(q: ConvexQuad) -> NormalizedQuad:
     anchor = v[i]
     e1 = sub2(v[(i + 1) % 4], anchor)
     e2 = sub2(v[(i + 3) % 4], anchor)
+    far = sub2(v[(i + 2) % 4], anchor)
+    det = cross2(e1, e2)
+    s, t = cross2(far, e2) / det, cross2(e1, far) / det
     from_canonical = AffineMap(e1[0], e2[0], e1[1], e2[1], anchor[0], anchor[1])
     to_canonical = from_canonical.inverse()
-    s, t = to_canonical(v[(i + 2) % 4])
     require_canonical_pair(s, t)
     return NormalizedQuad(s=s, t=t, to_canonical=to_canonical, from_canonical=from_canonical)
 

@@ -6,16 +6,20 @@ critical-abscissa interval membership, the best-fit-line/foci coincidence
 for parallelograms, the second-derivative-root counterexample, and a seeded
 sampling harness for the circumscribed-ratio conjecture.
 
-The circumscribed construction: every conic through the four vertices lies
-in the pencil spanned by the two degenerate members built from opposite
-side-line products. The quadratic-part determinant is quadratic in the
-pencil parameter and nonpositive at both degenerate ends, so the ellipse
-members form one open sub-interval between its roots. A member's area is
-pi |det3| / det2^{3/2} with det3 cubic in the parameter, and its
-stationary points are the real roots of a cubic; the minimal-area member is
-the best of those inside the sub-interval. The pencil is built for the quad
-moved to its centroid and scaled to unit size, so the ratio does not
-depend on units or placement.
+The circumscribed construction works in the quad's diagonal frame
+(quad.diagonal_frame), where the vertices are (-alpha, 0), (0, -beta),
+(1 - alpha, 0), (0, 1 - beta) and the area is 1/2. With p = alpha (1 - alpha)
+and r = beta (1 - beta), the conics through them are
+
+    r x^2 + p y^2 + 2c xy + (2 alpha - 1) r x + (2 beta - 1) p y - pr = 0,
+
+one for each c. A member is an ellipse where pr - c^2 > 0 and its center
+value has the opposite sign, and its area ratio is then
+2 pi pr (n - m c - c^2) / (pr - c^2)^{3/2}, with m = (2 alpha - 1)(2 beta - 1)/2
+and n = (p + r)/4 - pr. The ratio is stationary at the real roots of the
+monic cubic c^3 + 2m c^2 + (2pr - 3n) c + m pr, and the minimum is the best
+of those roots. The ratio depends on (alpha, beta) alone, so units,
+placement and aspect do not move it.
 
 numpy is imported inside the functions that draw samples or scan the
 z-grid, not at module level, so importing the package (and every CLI
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .bestfit import best_fit_line, slope_identities
-from .conic import ConicCoeffs, ellipse_area, ellipse_area_of_coeffs, foci
+from .conic import ConicCoeffs, ellipse_area, foci
 from .errors import (
     DegenerateVertices,
     DomainError,
@@ -46,16 +50,17 @@ from .family import (
     max_area_param,
     midpoint_ellipse,
 )
-from .geom import AffineMap, Line, Point, cross2, cubic_roots, distance, quadratic_roots
+from .geom import AffineMap, Point, cross2, cubic_roots, distance
 from .quad import (
     ConvexQuad,
     ParallelogramFrame,
+    diagonal_frame,
     diagonal_midpoints,
+    frame_vertices,
     normalize,
     parallelogram_frame,
     quad_area,
     require_canonical_pair,
-    unit_frame,
     validate,
 )
 
@@ -346,114 +351,42 @@ def marden_check(frame: ParallelogramFrame) -> MardenReport:
     )
 
 
-def _line_pair(p: Line, r: Line) -> tuple[float, float, float, float, float, float]:
-    """Conic coefficients of the degenerate product line p times line r."""
-    return (
-        p.a * r.a,
-        p.b * r.b,
-        0.5 * (p.a * r.b + p.b * r.a),
-        p.a * r.c + r.a * p.c,
-        p.b * r.c + r.b * p.c,
-        p.c * r.c,
-    )
-
-
-def _vertex_pencil(q: ConvexQuad):
-    """Base and direction of the pencil of conics through the vertices,
-    the coefficients (q2, q1, q0) of its quadratic-part determinant, and
-    the parameter interval on which the member is an ellipse."""
-    u0, u1, u2, u3 = (side.unit() for side in q.sides())
-    base = _line_pair(u0, u2)
-    other = _line_pair(u1, u3)
-    delta = tuple(y - x for x, y in zip(base, other))
-    qa = delta[0] * delta[1] - delta[2] * delta[2]
-    qb = base[0] * delta[1] + base[1] * delta[0] - 2.0 * base[2] * delta[2]
-    qc = base[0] * base[1] - base[2] * base[2]
-    roots = quadratic_roots(qa, qb, qc)
-    if len(roots) != 2:
-        raise OptimizationFailed("vertex pencil has no ellipse members")
-    lo, hi = min(roots), max(roots)
-    if not hi > lo:
-        raise OptimizationFailed("ellipse sub-interval of the vertex pencil collapsed")
-    return base, delta, (qa, qb, qc), lo, hi
-
-
-def _cofactors(m) -> tuple[float, float, float, float, float, float]:
-    """Cofactors (11, 22, 33, 12, 13, 23) of the symmetric conic matrix
-    [[a, c, d/2], [c, b, e/2], [d/2, e/2, f]]."""
-    a, b, c, d, e, f = m
-    g, h = 0.5 * d, 0.5 * e
-    return (b * f - h * h, a * f - g * g, a * b - c * c, g * h - c * f, c * h - b * g, c * g - a * h)
-
-
-def _cofactor_dot(cof, m) -> float:
-    """tr(adj(M) N) for the cofactors of M and the coefficients of N."""
-    a, b, c, d, e, f = m
-    return cof[0] * a + cof[1] * b + cof[2] * f + 2.0 * cof[3] * c + cof[4] * d + cof[5] * e
-
-
-def _stationary_points(base, delta, det2, lo: float, hi: float) -> list[float]:
-    """Pencil parameters in (lo, hi) where the member's area is stationary.
-
-    With det3(mu) = k0 + k1 mu + k2 mu^2 + k3 mu^3 the determinant of the
-    member matrix B + mu D (k0 = det B, k1 = tr(adj(B) D),
-    k2 = tr(adj(D) B), k3 = det D) and det2(mu) = q0 + q1 mu + q2 mu^2 that
-    of its quadratic part, the area is pi |det3| / det2^{3/2}. Its
-    derivative vanishes where 2 det3' det2 - 3 det3 det2' does; the mu^4
-    terms cancel, leaving the cubic solved here.
-    """
-    cof_b, cof_d = _cofactors(base), _cofactors(delta)
-    k0 = _cofactor_dot(cof_b, base) / 3.0
-    k1 = _cofactor_dot(cof_b, delta)
-    k2 = _cofactor_dot(cof_d, base)
-    k3 = _cofactor_dot(cof_d, delta) / 3.0
-    q2, q1, q0 = det2
-    roots = cubic_roots(
-        3.0 * k3 * q1 - 2.0 * k2 * q2,
-        6.0 * k3 * q0 + k2 * q1 - 4.0 * k1 * q2,
-        4.0 * k2 * q0 - k1 * q1 - 6.0 * k0 * q2,
-        2.0 * k1 * q0 - 3.0 * k0 * q1,
-    )
-    return [mu for mu in roots if lo < mu < hi]
-
-
-def _pencil_member_area(base, delta, mu: float) -> float:
-    return ellipse_area_of_coeffs(
-        base[0] + mu * delta[0],
-        base[1] + mu * delta[1],
-        base[2] + mu * delta[2],
-        base[3] + mu * delta[3],
-        base[4] + mu * delta[4],
-        base[5] + mu * delta[5],
-    )
-
-
 def circumscribed_min_ratio(q: ConvexQuad) -> float:
     """Minimal area ratio over ellipses through the four vertices.
 
-    Works on the quad moved to its centroid and scaled to unit size. The
-    area of the pencil member is infinite at both ends of the ellipse
-    sub-interval, so the minimum is one of the stationary points inside it:
-    the real roots of a cubic (see _stationary_points), each scored by its
-    area. The winning conic is checked to pass through all four vertices,
-    to 1e-9 in that frame, before the ratio is reported.
+    Works in the diagonal frame (see the module docstring). The ratio is
+    infinite at both ends of the ellipse range of c, so the minimum is at a
+    root of the stationarity cubic. A root is scored only where both
+    pr - c^2 and n - m c - c^2 are positive, that is, where the member is a
+    real ellipse: on a trapezoid the two parallel sides form a member with
+    both zero, and rounding can put that root just inside the range with a
+    ratio <= 0. The winning conic is checked to
+    pass through the four frame vertices to 1e-9 before the ratio is
+    reported.
     """
-    frame, _ = unit_frame(q)
-    base, delta, det2, lo, hi = _vertex_pencil(frame)
-    best_mu, best_area = math.nan, math.inf
-    for mu in _stationary_points(base, delta, det2, lo, hi):
-        area = _pencil_member_area(base, delta, mu)
-        if area < best_area:
-            best_mu, best_area = mu, area
-    if not math.isfinite(best_area):
+    alpha, beta, _ = diagonal_frame(q)
+    p, r = alpha * (1.0 - alpha), beta * (1.0 - beta)
+    pr = p * r
+    m = 0.5 * (2.0 * alpha - 1.0) * (2.0 * beta - 1.0)
+    n = 0.25 * (p + r) - pr
+    best_c, best = math.nan, math.inf
+    for c in cubic_roots(1.0, 2.0 * m, 2.0 * pr - 3.0 * n, m * pr):
+        det2, center = pr - c * c, n - m * c - c * c
+        if det2 > 0.0 and center > 0.0:
+            ratio = 2.0 * math.pi * pr * center / (det2 * math.sqrt(det2))
+            if ratio < best:
+                best_c, best = c, ratio
+    if not math.isfinite(best):
         raise OptimizationFailed("no ellipse member found in the vertex pencil")
-    conic = ConicCoeffs(*(b + best_mu * d for b, d in zip(base, delta))).canonical()
-    worst = max(abs(conic.evaluate(x, y)) for x, y in frame.vertices)
+    conic = ConicCoeffs(
+        r, p, best_c, (2.0 * alpha - 1.0) * r, (2.0 * beta - 1.0) * p, -pr
+    ).canonical()
+    worst = max(abs(conic.evaluate(x, y)) for x, y in frame_vertices(alpha, beta))
     if worst > 1e-9:
         raise OptimizationFailed(
-            f"minimal member misses a vertex by {worst:.3g} after scaling"
+            f"minimal member misses a vertex by {worst:.3g} in the diagonal frame"
         )
-    return best_area / quad_area(frame)
+    return best
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,13 @@ from quadellipse.family import (
     rectangle_family,
     rectangle_semi_axes_sq,
 )
-from quadellipse.geom import AffineMap, distance
+from quadellipse.geom import AffineMap, distance, midpoint
 from quadellipse.quad import parallelogram_frame, quad_area, validate
+from quadellipse.verify import (
+    check_foci_on_bestfit,
+    sample_convex_quad,
+    sample_parallelogram_vertices,
+)
 
 GENERIC = validate(((0.0, 0.0), (1.0, 0.0), (2.0, 3.0), (0.0, 1.0)))
 
@@ -152,6 +157,32 @@ class TestParallelogramFamily:
         }
         got = {tuple(round(c, 9) for c in p) for p in member.tangency}
         assert got == mids
+
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            ((0.0, 0.0), (2e4, 0.0), (3e4, 1e4), (1e4, 1e4)),
+            ((0.0, 0.0), (1.0, 0.0), (1.0, 1e4), (0.0, 1e4)),
+        ],
+        ids=["large", "tall"],
+    )
+    def test_any_units(self, verts):
+        # Tangency used to be checked in input units, where its residual (a
+        # squared length) grows with the frame: both raised
+        # OptimizationFailed at unit scale and above.
+        for k in range(-8, 9):
+            q = validate(tuple((x * 10.0**k, y * 10.0**k) for x, y in verts))
+            frame = parallelogram_frame(q)
+            member = midpoint_ellipse(frame)
+            assert ellipse_area(member.geom) / quad_area(q) == pytest.approx(math.pi / 4.0, rel=1e-12)
+            corners = frame.placed_corners()
+            for i, p in enumerate(member.tangency):
+                mid = midpoint(corners[i], corners[(i + 1) % 4])
+                assert math.dist(p, mid) <= 1e-12 * q.diameter(), (k, i)
+            assert check_foci_on_bestfit(frame) <= 1e-12 * q.diameter()
+            rows = family_areas(q, 5)
+            assert rows[2][0] == pytest.approx(0.5 * frame.k, rel=1e-15)
+            assert rows[2][1] == pytest.approx(ellipse_area(member.geom), rel=1e-12)
 
     def test_midpoint_ellipse_area_ratio(self):
         verts = ((0.0, 0.0), (3.0, 1.0), (4.0, 4.0), (1.0, 3.0))
@@ -345,6 +376,20 @@ class TestMaximalMember:
             member = max_area_ellipse(moved)
             ratio = ellipse_area(member.geom) / quad_area(moved)
             assert ratio == pytest.approx(base_ratio, rel=1e-9)
+
+    def test_tangency_points_follow_side_order(self):
+        # tangency[i] must lie on side i. Parallelograms whose frame takes
+        # base 1, such as the first one here, used to come out rotated by
+        # one side.
+        rng = np.random.default_rng(17)
+        quads = [validate(((-2.0, -1.0), (0.0, -2.0), (0.0, 0.0), (-2.0, 1.0)))]
+        quads += [validate(sample_parallelogram_vertices(rng)) for _ in range(40)]
+        quads += [sample_convex_quad(rng) for _ in range(40)]
+        quads += [validate(((0.0, 0.0), (8.0, 0.5), (6.0, 2.5), (2.0, 2.25))), validate(THIN_TRAPEZOID)]
+        for q in quads:
+            member = max_area_ellipse(q)
+            for i, (p, side) in enumerate(zip(member.tangency, q.sides())):
+                assert side.distance_to(p) <= 1e-9 * q.diameter(), (q.vertices, i)
 
     def test_maximum_dominates_family(self):
         member = max_area_ellipse(GENERIC)

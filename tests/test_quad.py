@@ -14,11 +14,12 @@ from quadellipse.errors import (
 from quadellipse.geom import cross2, distance
 from quadellipse.quad import (
     ConvexQuad,
+    diagonal_frame,
     diagonal_midpoints,
+    frame_vertices,
     normalize,
     parallelogram_frame,
     quad_area,
-    unit_frame,
     validate,
 )
 
@@ -126,17 +127,24 @@ class TestAreaAndMidpoints:
         assert m1 == pytest.approx(m2)
 
 
-class TestUnitFrame:
-    def test_frame_is_centred_unit_and_maps_back(self):
-        q = validate(tuple((3e5 + 40.0 * x, -7e5 + 40.0 * y) for x, y in KITE))
-        frame, back = unit_frame(q)
-        assert frame.vertices != q.vertices
-        assert (frame.is_parallelogram, frame.is_trapezoid) == (q.is_parallelogram, q.is_trapezoid)
-        assert max(max(abs(x), abs(y)) for x, y in frame.vertices) == 1.0
-        assert sum(x for x, _ in frame.vertices) == pytest.approx(0.0, abs=1e-15)
-        assert sum(y for _, y in frame.vertices) == pytest.approx(0.0, abs=1e-15)
-        for p, want in zip(frame.vertices, q.vertices):
-            assert back(p) == pytest.approx(want, rel=1e-15)
+class TestDiagonalFrame:
+    def test_frame_maps_back_onto_the_quad(self):
+        for verts in (SQUARE, KITE, GENERIC):
+            q = validate(tuple((3e5 + 40.0 * x, -7e5 + 40.0 * y) for x, y in verts))
+            alpha, beta, back = diagonal_frame(q)
+            assert 0.0 < alpha < 1.0 and 0.0 < beta < 1.0
+            frame = validate(frame_vertices(alpha, beta))
+            assert quad_area(frame) == 0.5
+            assert (frame.is_parallelogram, frame.is_trapezoid) == (q.is_parallelogram, q.is_trapezoid)
+            for p, want in zip(frame_vertices(alpha, beta), q.vertices):
+                assert back(p) == pytest.approx(want, rel=1e-15)
+            assert back.det() == pytest.approx(2.0 * quad_area(q), rel=1e-15)
+
+    def test_known_crossings(self):
+        # Diagonals of GENERIC meet at (0.4, 0.6): a fifth of the way from
+        # (0, 0) to (2, 3), three fifths from (1, 0) to (0, 1).
+        assert diagonal_frame(validate(GENERIC))[:2] == pytest.approx((0.2, 0.6), rel=1e-15)
+        assert diagonal_frame(validate(SQUARE))[:2] == (0.5, 0.5)
 
 
 class TestNormalize:
@@ -173,6 +181,26 @@ class TestNormalize:
         q = validate(((0.0, 0.0), (4.0, 0.0), (3.0, 1.0), (1.0, 1.0)))
         with pytest.raises(IsTrapezoid):
             normalize(q)
+
+    @pytest.mark.parametrize("verts", [GENERIC, KITE, ((0.1, 0.2), (3.0, 0.0), (2.2, 1.3), (0.4, 1.1))])
+    def test_far_from_origin_keeps_digits(self, verts):
+        # Reference: (s, t) of the rounded input in exact arithmetic. Taking
+        # them through the inverse map lost offset/diameter * eps (5e-6
+        # relative at 1e9 diameters).
+        diam = validate(verts).diameter()
+        for diams in (1.0, 1e3, 1e6, 1e9):
+            for angle in (0.3, 2.0, 4.0):
+                ox, oy = diams * diam * math.cos(angle), diams * diam * math.sin(angle)
+                q = validate(tuple((x + ox, y + oy) for x, y in verts))
+                nq = normalize(q)
+                anchor = next(i for i in range(4) if nq.from_canonical((0.0, 0.0)) == q.vertices[i])
+                v = [(Fraction(x), Fraction(y)) for x, y in q.vertices[anchor:] + q.vertices[:anchor]]
+                e1, e2, far = ((p[0] - v[0][0], p[1] - v[0][1]) for p in (v[1], v[3], v[2]))
+                det = e1[0] * e2[1] - e1[1] * e2[0]
+                s = (far[0] * e2[1] - far[1] * e2[0]) / det
+                t = (e1[0] * far[1] - e1[1] * far[0]) / det
+                for got, want in ((nq.s, s), (nq.t, t)):
+                    assert abs(Fraction(got) - want) <= Fraction(8 * 2**-52) * abs(want), (diams, angle)
 
     def test_affine_image_recovers_same_invariants(self):
         # (s, t) only depends on the affine class and the labeling; a rigid
