@@ -51,6 +51,7 @@ from .quad import (
     frame_vertices,
     parallelogram_frame,
     require_canonical_pair,
+    validate,
 )
 
 _LAM_EDGE = 1e-12
@@ -230,12 +231,18 @@ def _frame_member(frame: ParallelogramFrame, v: float) -> InscribedMember:
 def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
     """The inscribed ellipse tangent at the four side midpoints.
 
-    This is the v = k/2 member of the frame family, pushed through the rigid
-    placement. It is the unique maximal-area inscribed ellipse of the
-    parallelogram, with area (pi/4) * l * k, a quarter-pi of the
-    parallelogram area.
+    This is the v = k/2 member of the frame family and the unique
+    maximal-area inscribed ellipse of the parallelogram, with area
+    (pi/4) * l * k. It is max_area_ellipse of the placed corners, built in
+    their diagonal frame however thin or sheared the parallelogram is, with
+    tangency points in the frame's side order.
     """
-    return _frame_member(frame, 0.5 * frame.k)
+    corners = frame.placed_corners()
+    q = validate(corners)
+    member = max_area_ellipse(q)
+    i = q.vertices.index(corners[0])
+    tangency = member.tangency[i:] + member.tangency[:i]
+    return replace(member, parameter=0.5 * frame.k, param_kind="v", tangency=tangency)
 
 
 def locus_line(s: float, t: float) -> CenterLocus:

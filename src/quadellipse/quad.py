@@ -96,54 +96,55 @@ class ParallelogramFrame:
         return tuple(self.placement(p) for p in self.corners())
 
 
-def _parallel(u: Point, v: Point) -> bool:
-    lu = math.hypot(*u)
-    lv = math.hypot(*v)
-    return abs(cross2(u, v)) < PARALLEL_RTOL * lu * lv
-
-
 def validate(points) -> ConvexQuad:
     """Check four points for strict convexity and orient them.
 
     Vertices are reordered counterclockwise (angular sort about the
     centroid) starting from the lexicographically smallest. Coincident or
     collinear triples raise DegenerateVertices; a point set that is not in
-    convex position raises NotConvex.
+    convex position raises NotConvex. The six vertex distances and the four
+    side lengths are each computed once and shared by every test using them.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     if len(pts) != 4:
         raise DegenerateVertices(f"exactly four vertices required, got {len(pts)}")
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3))):
         raise DegenerateVertices("vertices must be finite")
-    diam = max(distance(pts[i], pts[j]) for i in range(4) for j in range(i + 1, 4))
+    gaps = (
+        math.hypot(x0 - x1, y0 - y1), math.hypot(x0 - x2, y0 - y2), math.hypot(x0 - x3, y0 - y3),
+        math.hypot(x1 - x2, y1 - y2), math.hypot(x1 - x3, y1 - y3), math.hypot(x2 - x3, y2 - y3),
+    )
+    diam = max(gaps)
     if diam == 0.0:
         raise DegenerateVertices("all vertices coincide")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if distance(pts[i], pts[j]) < _COINCIDENT_RTOL * diam:
-                raise DegenerateVertices(f"vertices {i} and {j} coincide")
-    cx = sum(x for x, _ in pts) / 4.0
-    cy = sum(y for _, y in pts) / 4.0
+    for (i, j), gap in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), gaps):
+        if gap < _COINCIDENT_RTOL * diam:
+            raise DegenerateVertices(f"vertices {i} and {j} coincide")
+    cx = (x0 + x1 + x2 + x3) / 4.0
+    cy = (y0 + y1 + y2 + y3) / 4.0
     pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    start = min(range(4), key=lambda i: pts[i])
+    start = pts.index(min(pts))
     pts = pts[start:] + pts[:start]
-    edges = [sub2(pts[(i + 1) % 4], pts[i]) for i in range(4)]
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    edges = ((x1 - x0, y1 - y0), (x2 - x1, y2 - y1), (x3 - x2, y3 - y2), (x0 - x3, y0 - y3))
+    lengths = [math.hypot(*e) for e in edges]
     for i in range(4):
-        u, w = edges[i], edges[(i + 1) % 4]
-        z = cross2(u, w)
-        if abs(z) <= _COLLINEAR_RTOL * math.hypot(*u) * math.hypot(*w):
+        (ux, uy), (wx, wy) = edges[i], edges[i - 3]
+        z = ux * wy - uy * wx
+        if abs(z) <= _COLLINEAR_RTOL * lengths[i] * lengths[i - 3]:
             raise DegenerateVertices("three vertices are collinear")
         if z < 0.0:
             raise NotConvex("vertices are not in convex position")
-    para02 = _parallel(edges[0], edges[2])
-    para13 = _parallel(edges[1], edges[3])
-    lengths = [math.hypot(*e) for e in edges]
-    pitot = abs((lengths[0] + lengths[2]) - (lengths[1] + lengths[3]))
+    e0, e1, e2, e3 = edges
+    l0, l1, l2, l3 = lengths
+    para02 = abs(cross2(e0, e2)) < PARALLEL_RTOL * l0 * l2
+    para13 = abs(cross2(e1, e3)) < PARALLEL_RTOL * l1 * l3
     return ConvexQuad(
         vertices=tuple(pts),
         is_parallelogram=para02 and para13,
         is_trapezoid=para02 or para13,
-        is_tangential=pitot < PITOT_RTOL * sum(lengths),
+        is_tangential=abs((l0 + l2) - (l1 + l3)) < PITOT_RTOL * (l0 + l1 + l2 + l3),
     )
 
 
@@ -170,13 +171,19 @@ def diagonal_frame(q: ConvexQuad) -> tuple[float, float, AffineMap]:
     are gone, and only (alpha, beta) describe the shape. Parallelograms are
     alpha = beta = 1/2; trapezoids have alpha = beta or alpha + beta = 1.
     """
+    alpha, beta = diagonal_ratios(q)
+    v0, v1, v2, v3 = q.vertices
+    d1, d2 = sub2(v2, v0), sub2(v3, v1)
+    back = AffineMap(d1[0], d2[0], d1[1], d2[1], v0[0] + alpha * d1[0], v0[1] + alpha * d1[1])
+    return alpha, beta, back
+
+
+def diagonal_ratios(q: ConvexQuad) -> tuple[float, float]:
+    """(alpha, beta) of diagonal_frame, without building its map."""
     v0, v1, v2, v3 = q.vertices
     d1, d2, w = sub2(v2, v0), sub2(v3, v1), sub2(v1, v0)
     det = cross2(d1, d2)
-    alpha = cross2(w, d2) / det
-    beta = cross2(w, d1) / det
-    back = AffineMap(d1[0], d2[0], d1[1], d2[1], v0[0] + alpha * d1[0], v0[1] + alpha * d1[1])
-    return alpha, beta, back
+    return cross2(w, d2) / det, cross2(w, d1) / det
 
 
 def frame_vertices(alpha: float, beta: float) -> tuple[Point, Point, Point, Point]:

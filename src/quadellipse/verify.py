@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .bestfit import best_fit_line, slope_identities
-from .conic import ConicCoeffs, ellipse_area, foci
+from .conic import ellipse_area, foci
 from .errors import (
     DegenerateVertices,
     DomainError,
@@ -50,13 +50,12 @@ from .family import (
     max_area_param,
     midpoint_ellipse,
 )
-from .geom import AffineMap, Point, cross2, cubic_roots, distance
+from .geom import AffineMap, Point, cubic_roots, distance
 from .quad import (
     ConvexQuad,
     ParallelogramFrame,
-    diagonal_frame,
     diagonal_midpoints,
-    frame_vertices,
+    diagonal_ratios,
     normalize,
     parallelogram_frame,
     quad_area,
@@ -360,11 +359,13 @@ def circumscribed_min_ratio(q: ConvexQuad) -> float:
     pr - c^2 and n - m c - c^2 are positive, that is, where the member is a
     real ellipse: on a trapezoid the two parallel sides form a member with
     both zero, and rounding can put that root just inside the range with a
-    ratio <= 0. The winning conic is checked to
-    pass through the four frame vertices to 1e-9 before the ratio is
-    reported.
+    ratio <= 0. Before the ratio is reported, the winning conic, scaled so
+    that its largest coefficient is 1 as ConicCoeffs.canonical scales it,
+    is checked to pass through the four frame vertices to 1e-9. Only
+    (alpha, beta) are taken from the quad: no frame map or conic object is
+    built.
     """
-    alpha, beta, _ = diagonal_frame(q)
+    alpha, beta = diagonal_ratios(q)
     p, r = alpha * (1.0 - alpha), beta * (1.0 - beta)
     pr = p * r
     m = 0.5 * (2.0 * alpha - 1.0) * (2.0 * beta - 1.0)
@@ -378,10 +379,17 @@ def circumscribed_min_ratio(q: ConvexQuad) -> float:
                 best_c, best = c, ratio
     if not math.isfinite(best):
         raise OptimizationFailed("no ellipse member found in the vertex pencil")
-    conic = ConicCoeffs(
-        r, p, best_c, (2.0 * alpha - 1.0) * r, (2.0 * beta - 1.0) * p, -pr
-    ).canonical()
-    worst = max(abs(conic.evaluate(x, y)) for x, y in frame_vertices(alpha, beta))
+    # Each frame vertex lies on an axis, so the terms dropped from the
+    # conic's value there are exact zeros.
+    d, e = (2.0 * alpha - 1.0) * r, (2.0 * beta - 1.0) * p
+    k = 1.0 / max((r, p, best_c, d, e, -pr), key=abs)
+    a, b, d, e, f = k * r, k * p, k * d, k * e, k * -pr
+    worst = max(
+        abs(a * alpha * alpha - d * alpha + f),
+        abs(b * beta * beta - e * beta + f),
+        abs(a * (1.0 - alpha) * (1.0 - alpha) + d * (1.0 - alpha) + f),
+        abs(b * (1.0 - beta) * (1.0 - beta) + e * (1.0 - beta) + f),
+    )
     if worst > 1e-9:
         raise OptimizationFailed(
             f"minimal member misses a vertex by {worst:.3g} in the diagonal frame"
@@ -450,13 +458,17 @@ def sample_convex_quad(
     well conditioned on the result.
     """
     while True:
-        pts = rng.random((4, 2))
         try:
-            q = validate(pts)
+            q = validate(rng.random((4, 2)).tolist())
         except (NotConvex, DegenerateVertices):
             continue
-        edges = q.side_vectors()
-        if min(cross2(edges[i], edges[(i + 1) % 4]) for i in range(4)) <= min_cross:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q.vertices
+        if min(
+            (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1),
+            (x2 - x1) * (y3 - y2) - (y2 - y1) * (x3 - x2),
+            (x3 - x2) * (y0 - y3) - (y3 - y2) * (x0 - x3),
+            (x0 - x3) * (y1 - y0) - (y0 - y3) * (x1 - x0),
+        ) <= min_cross:
             continue
         if require_canonical:
             if q.is_trapezoid:
@@ -516,10 +528,8 @@ def _scan_slot(seed: int, index: int) -> tuple[tuple[Point, Point, Point, Point]
     if stratum == 3:
         while True:
             verts = sample_parallelogram_vertices(rng)
-            noise = rng.uniform(-1e-3, 1e-3, (4, 2))
-            bumped = tuple(
-                (x + float(dx), y + float(dy)) for (x, y), (dx, dy) in zip(verts, noise)
-            )
+            noise = rng.uniform(-1e-3, 1e-3, (4, 2)).tolist()
+            bumped = tuple((x + dx, y + dy) for (x, y), (dx, dy) in zip(verts, noise))
             try:
                 return bumped, validate(bumped)
             except (NotConvex, DegenerateVertices):

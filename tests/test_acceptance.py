@@ -167,9 +167,9 @@ def test_criterion_05_profile_bound():
 def test_criterion_06_bestfit_brute_force_oracle():
     rng = np.random.default_rng(2006)
     theta = np.arange(720) * (math.pi / 720.0)
-    cos2 = np.cos(theta) ** 2
-    sin2 = np.sin(theta) ** 2
-    cossin = np.cos(theta) * np.sin(theta)
+    # Rows (cos^2, cos sin, sin^2): the objective on the whole grid is one
+    # (1681 x 3) . (3 x 720) product per point set.
+    angle_terms = np.stack([np.cos(theta) ** 2, np.cos(theta) * np.sin(theta), np.sin(theta) ** 2])
     grid = np.linspace(0.0, 1.0, 41)
     worst_improvement = -math.inf
     worst_centroid = 0.0
@@ -188,11 +188,7 @@ def test_criterion_06_bestfit_brute_force_oracle():
         sxx = (x * x).sum() - 2.0 * axx * x.sum() + 4.0 * axx * axx
         syy = (y * y).sum() - 2.0 * ayy * y.sum() + 4.0 * ayy * ayy
         sxy = (x * y).sum() - axx * y.sum() - ayy * x.sum() + 4.0 * axx * ayy
-        obj = (
-            syy[:, None] * cos2[None, :]
-            - 2.0 * sxy[:, None] * cossin[None, :]
-            + sxx[:, None] * sin2[None, :]
-        )
+        obj = np.stack([syy, -2.0 * sxy, sxx], axis=1) @ angle_terms
         improvement = fit.min_objective() - float(obj.min())
         worst_improvement = max(worst_improvement, improvement)
         assert improvement <= 1e-9

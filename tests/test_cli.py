@@ -178,6 +178,14 @@ class TestVerify:
         names = {c["name"] for c in payload["checks"]}
         assert "strict-inequality" in names
 
+    def test_thin_sheared_parallelogram_passes(self, doc, capsys):
+        thin = {"vertices": [[0, 0], [1, 0], [10001, 1e4], [1e4, 1e4]]}
+        code, payload = run_json(capsys, ["verify", doc(thin)])
+        assert code == 0
+        assert payload["all_passed"] is True
+        names = {c["name"] for c in payload["checks"]}
+        assert "foci-on-best-fit" in names
+
     def test_suite_mode_small(self, capsys):
         code, payload = run_json(capsys, ["verify", "--samples", "60", "--seed", "2"])
         assert code == 0

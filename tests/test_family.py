@@ -35,6 +35,7 @@ from quadellipse.geom import AffineMap, distance, midpoint
 from quadellipse.quad import parallelogram_frame, quad_area, validate
 from quadellipse.verify import (
     check_foci_on_bestfit,
+    marden_check,
     sample_convex_quad,
     sample_parallelogram_vertices,
 )
@@ -183,6 +184,24 @@ class TestParallelogramFamily:
             rows = family_areas(q, 5)
             assert rows[2][0] == pytest.approx(0.5 * frame.k, rel=1e-15)
             assert rows[2][1] == pytest.approx(ellipse_area(member.geom), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_thin_sheared_midpoint_member(self, scale):
+        # Area / diameter^2 = 5e-5: the frame-family member built on a frame
+        # similar to the quad stayed this thin and failed tangency at every
+        # scale, and with it the foci and Marden checks.
+        verts = ((0.0, 0.0), (1.0, 0.0), (10001.0, 1e4), (1e4, 1e4))
+        q = validate(tuple((x * scale, y * scale) for x, y in verts))
+        frame = parallelogram_frame(q)
+        member = midpoint_ellipse(frame)
+        assert (member.param_kind, member.parameter) == ("v", 0.5 * frame.k)
+        assert ellipse_area(member.geom) / quad_area(q) == pytest.approx(math.pi / 4.0, rel=1e-12)
+        corners = frame.placed_corners()
+        for i, p in enumerate(member.tangency):
+            mid = midpoint(corners[i], corners[(i + 1) % 4])
+            assert math.dist(p, mid) <= 1e-12 * q.diameter(), i
+        assert check_foci_on_bestfit(frame) <= 1e-15 * q.diameter()
+        assert marden_check(frame).min_distance > 0.1 * q.diameter()
 
     def test_midpoint_ellipse_area_ratio(self):
         verts = ((0.0, 0.0), (3.0, 1.0), (4.0, 4.0), (1.0, 3.0))

@@ -11,7 +11,8 @@ from quadellipse.errors import (
     NotConvex,
     NotParallelogram,
 )
-from quadellipse.geom import cross2, distance
+from quadellipse import quad
+from quadellipse.geom import cross2, distance, sub2
 from quadellipse.quad import (
     ConvexQuad,
     diagonal_frame,
@@ -22,6 +23,7 @@ from quadellipse.quad import (
     quad_area,
     validate,
 )
+from quadellipse.verify import scan_sample_vertices
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 KITE = ((0.0, 0.0), (2.0, -1.0), (4.0, 0.0), (2.0, 3.0))
@@ -87,6 +89,134 @@ class TestValidate:
         q = validate(GENERIC)
         edges = q.side_vectors()
         assert all(cross2(edges[i], edges[(i + 1) % 4]) > 0.0 for i in range(4))
+
+
+def reference_validate(points) -> ConvexQuad:
+    """validate as it was before its distances and side lengths were
+    shared between its tests: the oracle for TestValidateMatchesReference."""
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    if len(pts) != 4:
+        raise DegenerateVertices(f"exactly four vertices required, got {len(pts)}")
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise DegenerateVertices("vertices must be finite")
+    diam = max(distance(pts[i], pts[j]) for i in range(4) for j in range(i + 1, 4))
+    if diam == 0.0:
+        raise DegenerateVertices("all vertices coincide")
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if distance(pts[i], pts[j]) < quad._COINCIDENT_RTOL * diam:
+                raise DegenerateVertices(f"vertices {i} and {j} coincide")
+    cx = sum(x for x, _ in pts) / 4.0
+    cy = sum(y for _, y in pts) / 4.0
+    pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    start = min(range(4), key=lambda i: pts[i])
+    pts = pts[start:] + pts[:start]
+    edges = [sub2(pts[(i + 1) % 4], pts[i]) for i in range(4)]
+    for i in range(4):
+        u, w = edges[i], edges[(i + 1) % 4]
+        z = cross2(u, w)
+        if abs(z) <= quad._COLLINEAR_RTOL * math.hypot(*u) * math.hypot(*w):
+            raise DegenerateVertices("three vertices are collinear")
+        if z < 0.0:
+            raise NotConvex("vertices are not in convex position")
+
+    def parallel(u, v):
+        return abs(cross2(u, v)) < quad.PARALLEL_RTOL * math.hypot(*u) * math.hypot(*v)
+
+    para02 = parallel(edges[0], edges[2])
+    para13 = parallel(edges[1], edges[3])
+    lengths = [math.hypot(*e) for e in edges]
+    pitot = abs((lengths[0] + lengths[2]) - (lengths[1] + lengths[3]))
+    return ConvexQuad(
+        vertices=tuple(pts),
+        is_parallelogram=para02 and para13,
+        is_trapezoid=para02 or para13,
+        is_tangential=pitot < quad.PITOT_RTOL * sum(lengths),
+    )
+
+
+def validate_inputs():
+    """About 27,000 point sets, valid and invalid, in every input form."""
+    rng = np.random.default_rng(808)
+    for _ in range(3000):
+        pts = rng.random((4, 2))
+        yield pts
+        yield pts.tolist()
+        yield (pts - 0.5) * 10.0 ** rng.integers(-9, 10) + rng.integers(-3, 4) * 1e6
+    for seed in (7, 42):
+        for index in range(1500):
+            verts = scan_sample_vertices(seed, index)
+            yield verts
+            for _ in range(2):
+                yield [verts[i] for i in rng.permutation(4)]
+    for _ in range(1500):
+        yield rng.integers(-3, 4, (4, 2))
+        yield rng.integers(-3, 4, (4, 2)).tolist()
+    for _ in range(1000):
+        # Coincident and nearly coincident vertices.
+        pts = rng.random((4, 2))
+        i, j = rng.choice(4, 2, replace=False)
+        pts[j] = pts[i] + rng.choice([0.0, 1e-14, 1e-12, 1e-11]) * rng.standard_normal(2)
+        yield pts[rng.permutation(4)]
+    for _ in range(1000):
+        # Three vertices on a line, exactly or within rounding of it.
+        a, b, c = rng.random((3, 2))
+        u = rng.uniform(-0.5, 1.5)
+        mid = a + u * (b - a) + rng.choice([0.0, 1e-16, 1e-13, 1e-11]) * rng.standard_normal(2)
+        yield np.array([a, b, mid, c])[rng.permutation(4)]
+    for _ in range(1000):
+        # Parallelograms and trapezoids near the parallel and Pitot tolerances.
+        slot = 4 * int(rng.integers(1, 10**6)) + 2
+        v0, v1, v2, v3 = (np.array(v) for v in scan_sample_vertices(3, slot))
+        bump = rng.choice([0.0, 10.0 ** rng.uniform(-14.0, -6.0)])
+        yield [v0, v1, v2 + bump * rng.standard_normal(2), v3]
+        yield [v0, v1, v2, v0 + rng.uniform(0.2, 0.8) * (v3 - v0) + bump * rng.standard_normal(2)]
+        # Kites are tangential; moving the apex sideways breaks Pitot by ~bump.
+        half = rng.uniform(0.5, 2.0)
+        yield [(0.0, 0.0), (half, -1.0), (2.0 * half, 0.0), (half + bump, rng.uniform(0.5, 3.0))]
+    for k in range(500):
+        pts = rng.random((4, 2))
+        pts[k % 4, k % 2] = (math.nan, math.inf, -math.inf)[k % 3]
+        yield pts.tolist()
+    for k in range(500):
+        yield rng.random((3 + 2 * (k % 2), 2))
+    for c in (0.0, -0.0, 1.0, 1e300):
+        yield [(c, c)] * 4
+    for _ in range(200):
+        # Signed zeros, which sum() and + treat alike only through the
+        # start value.
+        pts = rng.choice([-0.0, 0.0, 1.0, -1.0], (4, 2))
+        yield pts.tolist()
+
+
+def outcome(fn, points):
+    try:
+        q = fn(points)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(q.vertices), q.is_parallelogram, q.is_trapezoid, q.is_tangential
+
+
+class TestValidateMatchesReference:
+    def test_same_answer_or_same_error_everywhere(self):
+        count = 0
+        kinds = set()
+        for points in validate_inputs():
+            want = outcome(reference_validate, points)
+            assert outcome(validate, points) == want, points
+            count += 1
+            kinds.add(want[0] if isinstance(want[0], type) else want[1:])
+        assert count >= 20_000
+        # Both refusal classes, and every flag combination but a tangential
+        # trapezoid that is not a parallelogram, were exercised.
+        assert {DegenerateVertices, NotConvex} <= kinds
+        assert {
+            (False, False, False),
+            (False, False, True),
+            (False, True, False),
+            (True, True, False),
+            (True, True, True),
+        } <= kinds
 
 
 class TestAreaAndMidpoints:

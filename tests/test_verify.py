@@ -613,8 +613,36 @@ _PINNED_SCAN_200_42 = {
     "min_ratio": 1.5707963267947689,
 }
 
+# Full 2,000-slot reports, recorded before validate, the circumscribed
+# residual check and the samplers' draws were restructured; the scan must
+# reproduce them bit for bit.
+_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+_PINNED_SCANS_2000 = {
+    42: {
+        "min_ratio": 1.5707963267948966,
+        "argmin_vertices": _SQUARE,
+        "histogram": (1145, 136, 105, 99, 87, 56, 53, 45, 38, 25, 20, 20, 18, 12, 7, 134),
+        "candidates": (),
+    },
+    7: {
+        "min_ratio": 1.5707963267948966,
+        "argmin_vertices": _SQUARE,
+        "histogram": (1149, 132, 111, 97, 88, 62, 67, 33, 37, 20, 16, 23, 13, 7, 8, 137),
+        "candidates": (),
+    },
+}
+
 
 class TestScanPinned:
+    @pytest.mark.parametrize("seed", sorted(_PINNED_SCANS_2000))
+    def test_2000_slot_reports_are_unchanged(self, seed):
+        report = conjecture_scan(2000, seed)
+        want = _PINNED_SCANS_2000[seed]
+        assert report.min_ratio == want["min_ratio"]
+        assert report.argmin_vertices == want["argmin_vertices"]
+        assert report.histogram == want["histogram"]
+        assert report.candidates == want["candidates"]
+
     def test_slot_vertices_are_unchanged(self):
         for index, want in _PINNED_SLOTS_42.items():
             assert scan_sample_vertices(42, index) == want, index
