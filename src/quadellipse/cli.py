@@ -270,12 +270,12 @@ def _verify_document(args) -> int:
                 "detail": f"|ratio - pi/4| = {abs(report.bound_gap):.3e}",
             }
         )
-        dist = check_foci_on_bestfit(parallelogram_frame(q))
+        rel = check_foci_on_bestfit(parallelogram_frame(q)) / q.diameter()
         checks.append(
             {
                 "name": "foci-on-best-fit",
-                "passed": dist <= tol,
-                "detail": f"max focus distance {dist:.3e}",
+                "passed": rel <= tol,
+                "detail": f"max focus distance / diameter {rel:.3e}",
             }
         )
     else:

@@ -6,8 +6,7 @@ construction that produces the unique inscribed ellipse at any admissible
 center, and the maximal-area member in closed form for every convex quad.
 Members of a given quad are built in its diagonal frame (quad.diagonal_frame),
 where the diagonals are perpendicular unit segments, and mapped back; units,
-placement and aspect do not cost digits. Parallelogram-frame members are
-built on the frame divided by its extent and scaled back the same way.
+placement and aspect do not cost digits.
 
 The dual pencil: tangency to all four side lines means the dual conic passes
 through four fixed dual points. That pencil is spanned by the two degenerate
@@ -31,7 +30,6 @@ from .conic import (
     classify_conic,
     conic_to_ellipse,
     conic_transform,
-    ellipse_area,
     ellipse_area_of_coeffs,
     line_tangency,
 )
@@ -213,19 +211,6 @@ def _place_member(member: InscribedMember, placement: AffineMap) -> InscribedMem
         geom=EllipseGeom(center=placement(g.center), a=major, b=minor, phi=phi),
         tangency=tuple(placement(p) for p in member.tangency),
     )
-
-
-def _frame_member(frame: ParallelogramFrame, v: float) -> InscribedMember:
-    """The frame-family member tangent at height v, placed on the input.
-
-    It is built on the frame divided by its extent, so that tangency is
-    checked where the frame's coordinates lie in [0, 1] whatever the
-    input's units, and mapped back by the placement times that extent.
-    """
-    size = max(frame.l + frame.d, frame.k)
-    member = parallelogram_family(frame.l / size, frame.k / size, frame.d / size, v / size)
-    scale = AffineMap(size, 0.0, 0.0, size)
-    return replace(_place_member(member, frame.placement.compose(scale)), parameter=v)
 
 
 def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
@@ -428,11 +413,8 @@ def max_area_by_search(q: ConvexQuad) -> InscribedMember:
     """Maximal-area inscribed ellipse by golden-section over the dual pencil.
 
     A numerical cross-check of max_area_ellipse for tests and benchmarks;
-    no route of the package calls it. Parallelograms are refused since
-    their pencil degenerates to the single midpoint member.
+    no route of the package calls it.
     """
-    if q.is_parallelogram:
-        raise IsParallelogram("the parallelogram family has a single admissible center")
     alpha, beta, back = diagonal_frame(q)
     frame = frame_vertices(alpha, beta)
 
@@ -447,25 +429,23 @@ def max_area_by_search(q: ConvexQuad) -> InscribedMember:
 def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
     """Sample (parameter, area, center) along the inscribed family.
 
-    Parallelograms sweep the tangency height v over (0, k); other quads sweep
-    the pencil parameter over (0, 1). Rows are in increasing parameter order.
+    One dual pencil is swept over lam in (0, 1) for every quad, and rows are
+    labelled by lam. A parallelogram labels them by the tangency height
+    v = k lam in (0, k) of its frame: in the diagonal frame its pencil
+    member is x^2 / (lam / 4) + y^2 / ((1 - lam) / 4) = 1, with a fixed
+    center and an area symmetric in lam <-> 1 - lam. Rows are in increasing
+    parameter order.
     """
     if count < 1:
         raise ParameterOutOfRange(f"sample count must be positive, got {count}")
-    rows: list[tuple[float, float, Point]] = []
-    if q.is_parallelogram:
-        pf = parallelogram_frame(q)
-        for i in range(count):
-            v = pf.k * (i + 1.0) / (count + 1.0)
-            geom = _frame_member(pf, v).geom
-            rows.append((v, ellipse_area(geom), geom.center))
-        return rows
+    scale = parallelogram_frame(q).k if q.is_parallelogram else 1.0
     alpha, beta, back = diagonal_frame(q)
     frame = frame_vertices(alpha, beta)
     m1, m2 = diagonal_midpoints(q)
+    rows: list[tuple[float, float, Point]] = []
     for i in range(count):
         lam = (i + 1.0) / (count + 1.0)
         area = ellipse_area_of_coeffs(*_pencil_conic(frame, lam).as_tuple()) * back.det()
         center = (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
-        rows.append((lam, area, center))
+        rows.append((scale * (i + 1.0) / (count + 1.0), area, center))
     return rows

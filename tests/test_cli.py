@@ -14,6 +14,8 @@ from quadellipse.cli import main, run
 RECT = {"vertices": [[0, 0], [1, 0], [1, 2], [0, 2]], "id": "rect-1x2"}
 SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 GENERIC = {"vertices": [[0, 0], [1, 0], [2, 3], [0, 1]]}
+# A thin sheared parallelogram: area / diameter^2 = 5e-5.
+THIN = {"vertices": [[0, 0], [1, 0], [10001, 1e4], [1e4, 1e4]]}
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -142,6 +144,15 @@ class TestFamily:
             for cell in row:
                 float(cell)  # 17-digit output parses back
 
+    def test_thin_sheared_parallelogram(self, doc, capsys):
+        # The sweep answers however thin the parallelogram: rows are
+        # symmetric about the middle one, the maximal member.
+        code, payload = run_json(capsys, ["family", doc(THIN), "--samples", "5", "--format", "json"])
+        assert code == 0
+        areas = [row[1] for row in payload["rows"]]
+        assert areas == pytest.approx([areas[4], areas[3], areas[2], areas[1], areas[0]], rel=1e-12)
+        assert areas[2] == pytest.approx(0.25 * math.pi * 1e4, rel=1e-12)
+
 
 class TestBestfit:
     def test_square_degenerate(self, doc, capsys):
@@ -178,8 +189,11 @@ class TestVerify:
         names = {c["name"] for c in payload["checks"]}
         assert "strict-inequality" in names
 
-    def test_thin_sheared_parallelogram_passes(self, doc, capsys):
-        thin = {"vertices": [[0, 0], [1, 0], [10001, 1e4], [1e4, 1e4]]}
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_thin_sheared_parallelogram_passes(self, doc, capsys, scale):
+        # --tol is dimensionless: the foci's distance is taken relative to
+        # the diameter, so the verdict does not depend on the units.
+        thin = {"vertices": [[x * scale, y * scale] for x, y in THIN["vertices"]]}
         code, payload = run_json(capsys, ["verify", doc(thin)])
         assert code == 0
         assert payload["all_passed"] is True

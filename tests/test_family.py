@@ -202,6 +202,12 @@ class TestParallelogramFamily:
             assert math.dist(p, mid) <= 1e-12 * q.diameter(), i
         assert check_foci_on_bestfit(frame) <= 1e-15 * q.diameter()
         assert marden_check(frame).min_distance > 0.1 * q.diameter()
+        rows = family_areas(q, 5)
+        assert rows[2][0] == 0.5 * frame.k
+        for i, (_, area, _) in enumerate(rows):
+            lam = (i + 1) / 6
+            want = 0.5 * math.pi * math.sqrt(lam * (1.0 - lam)) * quad_area(q)
+            assert area == pytest.approx(want, rel=1e-12, abs=0.0), i
 
     def test_midpoint_ellipse_area_ratio(self):
         verts = ((0.0, 0.0), (3.0, 1.0), (4.0, 4.0), (1.0, 3.0))
@@ -378,10 +384,23 @@ class TestMaximalMember:
         for side in q.sides():
             assert min(side.distance_to(p) for p in member.tangency) < 1e-7
 
-    def test_search_refuses_parallelogram(self):
-        q = validate(((0.0, 0.0), (2.0, 0.0), (3.0, 1.0), (1.0, 1.0)))
-        with pytest.raises(IsParallelogram):
-            max_area_by_search(q)
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            ((0.0, 0.0), (2.0, 0.0), (3.0, 1.0), (1.0, 1.0)),
+            ((0.0, 0.0), (1.0, 0.0), (10001.0, 1e4), (1e4, 1e4)),
+        ],
+        ids=["sheared", "thin"],
+    )
+    def test_search_finds_parallelogram_maximum(self, verts):
+        # A parallelogram's pencil keeps its center fixed and its area
+        # profile unimodal, so the search needs no parallelogram case.
+        q = validate(verts)
+        searched = max_area_by_search(q)
+        ratio = ellipse_area(searched.geom) / quad_area(q)
+        assert ratio == pytest.approx(math.pi / 4.0, rel=1e-12, abs=0.0)
+        center = max_area_ellipse(q).geom.center
+        assert math.dist(searched.geom.center, center) <= 1e-12 * q.diameter()
 
     def test_ratio_is_affine_invariant(self):
         base = max_area_ellipse(GENERIC)
@@ -427,13 +446,24 @@ class TestFamilyAreas:
             assert len(center) == 2
 
     def test_parallelogram_sweep_in_v(self):
-        q = validate(((0.0, 0.0), (2.0, 0.0), (3.0, 1.0), (1.0, 1.0)))
-        frame = parallelogram_frame(q)
-        rows = family_areas(q, 11)
-        assert len(rows) == 11
-        for param, area, _ in rows:
-            assert 0.0 < param < frame.k
-            assert area > 0.0
+        # Rows are labelled by v, the tangency height of the frame family,
+        # and sit on its closed form at that v, about the vertex centroid.
+        sheared = ((0.0, 0.0), (2.0, 0.0), (3.0, 1.0), (1.0, 1.0))
+        rectangle = ((0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (0.0, 2.0))
+        for verts in (sheared, rectangle):
+            q = validate(verts)
+            frame = parallelogram_frame(q)
+            rows = family_areas(q, 11)
+            assert len(rows) == 11
+            centroid = (sum(x for x, _ in verts) / 4.0, sum(y for _, y in verts) / 4.0)
+            for i, (param, area, center) in enumerate(rows):
+                lam = (i + 1) / 12
+                assert param == pytest.approx(lam * frame.k, rel=1e-15)
+                want = 0.5 * math.pi * math.sqrt(lam * (1.0 - lam)) * quad_area(q)
+                assert area == pytest.approx(want, rel=1e-12, abs=0.0), (verts, i)
+                ref = ellipse_area(parallelogram_family(frame.l, frame.k, frame.d, param).geom)
+                assert area == pytest.approx(ref, rel=1e-12, abs=0.0), (verts, i)
+                assert math.dist(center, centroid) <= 1e-12 * q.diameter(), (verts, i)
 
     def test_peak_matches_closed_form(self):
         rows = family_areas(GENERIC, 301)
