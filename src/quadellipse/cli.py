@@ -247,7 +247,7 @@ def _cmd_verify(args) -> int:
 def _verify_document(args) -> int:
     q, doc_id = _load_document(args.document)
     tol = args.tol
-    report = check_area_inequality(q, quad_id=doc_id or "")
+    report = check_area_inequality(q)
     fit = best_fit_line(q.vertices)
     circ = circumscribed_min_ratio(q)
     checks = [

@@ -92,15 +92,13 @@ class ConicCoeffs:
         """Scale so the largest-magnitude coefficient becomes +1.
 
         Ties go to the earliest coefficient in (a, b, c, d, e, f) order, which
-        makes the representative deterministic and comparison-friendly.
+        makes the representative deterministic and comparison-friendly; a
+        coefficient within 1e-12 of the largest magnitude ties, so rounding
+        in the last bits cannot flip the representative's sign.
         """
-        coeffs = (self.a, self.b, self.c, self.d, self.e, self.f)
-        pivot = max(coeffs, key=abs)
-        for v in coeffs:
-            if abs(v) == abs(pivot):
-                pivot = v
-                break
-        return self.scaled(1.0 / pivot)
+        coeffs = self.as_tuple()
+        top = max(map(abs, coeffs))
+        return self.scaled(1.0 / next(v for v in coeffs if abs(v) >= (1.0 - 1e-12) * top))
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
@@ -277,21 +275,6 @@ def geometry_to_conic(geom: EllipseGeom) -> ConicCoeffs:
 
 def ellipse_area(geom: EllipseGeom) -> float:
     return math.pi * geom.a * geom.b
-
-
-def ellipse_area_of_coeffs(a: float, b: float, c: float, d: float, e: float, f: float) -> float:
-    """Area of the conic with these coefficients when it is a real ellipse,
-    +inf otherwise. Lean helper for one-dimensional searches over conic
-    families: no classification, no geometry."""
-    det2 = a * b - c * c
-    if det2 <= 0.0:
-        return math.inf
-    cx = (c * e - b * d) / (2.0 * det2)
-    cy = (c * d - a * e) / (2.0 * det2)
-    fc = f + 0.5 * (d * cx + e * cy)
-    if fc * (a + b) >= 0.0:
-        return math.inf
-    return math.pi * abs(fc) / math.sqrt(det2)
 
 
 def foci(geom: EllipseGeom) -> tuple[Point, Point]:

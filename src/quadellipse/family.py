@@ -9,12 +9,18 @@ where the diagonals are perpendicular unit segments, and mapped back; units,
 placement and aspect do not cost digits.
 
 The dual pencil: tangency to all four side lines means the dual conic passes
-through four fixed dual points. That pencil is spanned by the two degenerate
-dual members built from the diagonals, sym(v1, v3) and sym(v0, v2); with
-homogeneous vertices (x, y, 1) the pole of the line at infinity of the
-combination (1 - lam) * sym(v1, v3) + lam * sym(v0, v2) is just its third
-column, so the center is the affine combination (1 - lam) * M1 + lam * M2 of
-the diagonal midpoints and the pencil parameter solves a linear condition.
+through four fixed dual points, and that pencil is spanned by the point
+pairs at the ends of the two diagonals. In the diagonal frame, with
+p = alpha (1 - alpha) and r = beta (1 - beta), its member at lam is
+
+    N(lam) = [[-lam p, 0, cx], [0, -(1 - lam) r, cy], [cx, cy, 1]],
+
+    c = (cx, cy) = M1 + lam (M2 - M1) = (lam (1/2 - alpha), (1 - lam) (1/2 - beta)),
+
+the ellipse (x - c)^T S^-1 (x - c) = 1 with S = diag(lam p, (1 - lam) r) + c c^T
+and det S = lam (1 - lam) (p + (r - p) lam) / 4, positive exactly for lam in
+(0, 1). Its area is pi sqrt(det S) in the frame: det S is the area profile
+that _max_area_lambda maximises.
 """
 
 from __future__ import annotations
@@ -24,13 +30,10 @@ from dataclasses import dataclass, replace
 
 from .conic import (
     ConicCoeffs,
-    ConicKind,
     EllipseGeom,
     TangencyKind,
-    classify_conic,
     conic_to_ellipse,
     conic_transform,
-    ellipse_area_of_coeffs,
     line_tangency,
 )
 from .errors import (
@@ -181,38 +184,6 @@ def parallelogram_family(l: float, k: float, d: float, v: float) -> InscribedMem
     )
 
 
-def _place_member(member: InscribedMember, placement: AffineMap) -> InscribedMember:
-    """Push a frame-coordinate member through an affine placement.
-
-    The center and the tangency points go through the map. The image
-    ellipse is center + M u over unit vectors u, with M = L R(phi) diag(a, b)
-    and L the placement's linear part; its semi-axes are M's singular values
-    and its angle that of M's leading left singular vector, both in closed
-    form for 2x2. The minor axis is |det L| a b / major, which cancels
-    nothing however thin the image. A circle has no axis and, as in
-    conic_to_ellipse, gets angle 0.
-    """
-    g = member.geom
-    cp, sp = math.cos(g.phi), math.sin(g.phi)
-    m00 = (placement.m00 * cp + placement.m01 * sp) * g.a
-    m10 = (placement.m10 * cp + placement.m11 * sp) * g.a
-    m01 = (placement.m01 * cp - placement.m00 * sp) * g.b
-    m11 = (placement.m11 * cp - placement.m10 * sp) * g.b
-    e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
-    h, k = 0.5 * (m10 - m01), 0.5 * (m10 + m01)
-    spread = math.hypot(f, k)
-    major = math.hypot(e, h) + spread
-    minor = min(abs(placement.det()) * g.a * g.b / major, major)
-    phi = 0.5 * (math.atan2(k, f) + math.atan2(h, e)) if spread > 1e-14 * major else 0.0
-    return InscribedMember(
-        parameter=member.parameter,
-        param_kind=member.param_kind,
-        conic=conic_transform(member.conic, placement).canonical(),
-        geom=EllipseGeom(center=placement(g.center), a=major, b=minor, phi=phi),
-        tangency=tuple(placement(p) for p in member.tangency),
-    )
-
-
 def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
     """The inscribed ellipse tangent at the four side midpoints.
 
@@ -280,36 +251,18 @@ def max_area_param(s: float, t: float) -> float:
     return 0.5 + 0.5 * (s - 1.0) * _max_area_lambda(s + t - 1.0, (s - 1.0) * (t - 1.0))
 
 
-def _sym3_points(p: Point, q: Point) -> tuple[float, float, float, float, float, float]:
-    """Entries (n00, n01, n02, n11, n12, n22) of sym(P Q^T) for homogeneous
-    points P = (px, py, 1), Q = (qx, qy, 1)."""
-    return (
-        p[0] * q[0],
-        0.5 * (p[0] * q[1] + p[1] * q[0]),
-        0.5 * (p[0] + q[0]),
-        p[1] * q[1],
-        0.5 * (p[1] + q[1]),
-        1.0,
-    )
-
-
-def _adjugate_conic(n00, n01, n02, n11, n12, n22) -> ConicCoeffs:
-    return ConicCoeffs(
-        a=n11 * n22 - n12 * n12,
-        b=n00 * n22 - n02 * n02,
-        c=n02 * n12 - n01 * n22,
-        d=2.0 * (n01 * n12 - n02 * n11),
-        e=2.0 * (n01 * n02 - n00 * n12),
-        f=n00 * n11 - n01 * n01,
-    )
-
-
-def _pencil_conic(vertices: tuple[Point, Point, Point, Point], lam: float) -> ConicCoeffs:
-    v0, v1, v2, v3 = vertices
-    na = _sym3_points(v1, v3)
-    nb = _sym3_points(v0, v2)
+def _member_shape(
+    alpha: float, beta: float, lam: float
+) -> tuple[float, float, float, float, float, float]:
+    """Centre c and shape S of the pencil member at lam in the diagonal
+    frame (alpha, beta), as (cx, cy, s00, s01, s11, det S); see the module
+    docstring. det S is written in closed form, with both of its terms
+    positive, and is positive exactly for lam in (0, 1)."""
     mu = 1.0 - lam
-    return _adjugate_conic(*(mu * x + lam * y for x, y in zip(na, nb)))
+    p, r = alpha * (1.0 - alpha), beta * (1.0 - beta)
+    cx, cy = lam * (0.5 - alpha), mu * (0.5 - beta)
+    det = 0.25 * lam * mu * (mu * p + lam * r)
+    return cx, cy, lam * p + cx * cx, cx * cy, mu * r + cy * cy, det
 
 
 def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
@@ -348,17 +301,29 @@ def _pencil_member(
     q: ConvexQuad, alpha: float, beta: float, back: AffineMap, lam: float
 ) -> InscribedMember:
     """The inscribed ellipse of q centered at M1 + lam (M2 - M1), built in
-    q's diagonal frame (alpha, beta) and placed back onto q by ``back``.
+    q's diagonal frame (alpha, beta) from _member_shape and placed back onto
+    q by ``back``.
+
+    In the frame its conic is (x - c)^T adj(S) (x - c) = det S, written out
+    without cancellation: with D = diag(lam p, (1 - lam) r), the quadratic
+    part is adj S, the linear part -2 adj(D) c and the constant -det D. It
+    must touch the four frame sides. The centre and the tangency points go
+    through ``back``; the semi-axes and the angle are those of the placed
+    shape P = L S L^T, L the linear part of ``back``: major^2 is the larger
+    eigenvalue of P, minor = |det L| sqrt(det S) / major, which cancels
+    nothing however thin the member, and a circle gets angle 0.
 
     Its parameter is "v" = k/2 for a parallelogram, "pencil" = lam for a
     trapezoid, and otherwise the canonical abscissa "h" of the center for
     the anchor normalize uses: relabelling the vertices from anchor i maps
     (alpha, beta, lam) as below, and then s = (1 - beta) / alpha.
     """
-    frame = frame_vertices(alpha, beta)
-    conic = _pencil_conic(frame, lam).canonical()
-    if classify_conic(conic) is not ConicKind.ELLIPSE:
+    cx, cy, s00, s01, s11, det = _member_shape(alpha, beta, lam)
+    if not det > 0.0:
         raise CenterOffLocus("pencil member at the requested center is not a real ellipse")
+    dp, dr = lam * alpha * (1.0 - alpha), (1.0 - lam) * beta * (1.0 - beta)
+    conic = ConicCoeffs(s11, s00, -s01, -2.0 * dr * cx, -2.0 * dp * cy, -dp * dr)
+    frame = frame_vertices(alpha, beta)
     tangency = []
     for i in range(4):
         res = line_tangency(conic, Line.through(frame[i], frame[(i + 1) % 4]))
@@ -366,7 +331,7 @@ def _pencil_member(
             raise CenterOffLocus(
                 f"member is not tangent to side {i} (residual {res.residual:.3g})"
             )
-        tangency.append(res.point)
+        tangency.append(back(res.point))
     if q.is_parallelogram:
         parameter, kind = 0.5 * parallelogram_frame(q).k, "v"
     elif q.is_trapezoid:
@@ -379,15 +344,20 @@ def _pencil_member(
             (1.0 - beta, alpha, 1.0 - lam),
         )[_anchor_index(q)]
         parameter, kind = 0.5 + 0.5 * ((1.0 - b) / a - 1.0) * u, "h"
-    return _place_member(
-        InscribedMember(
-            parameter=parameter,
-            param_kind=kind,
-            conic=conic,
-            geom=conic_to_ellipse(conic),
-            tangency=tuple(tangency),
-        ),
-        back,
+    m00, m01, m10, m11 = back.m00, back.m01, back.m10, back.m11
+    u0, u1 = m00 * s00 + m01 * s01, m00 * s01 + m01 * s11
+    w0, w1 = m10 * s00 + m11 * s01, m10 * s01 + m11 * s11
+    p00, p01, p11 = u0 * m00 + u1 * m01, u0 * m10 + u1 * m11, w0 * m10 + w1 * m11
+    tr, disc = p00 + p11, math.hypot(p00 - p11, 2.0 * p01)
+    major = math.sqrt(0.5 * (tr + disc))
+    minor = min(abs(back.det()) * math.sqrt(det) / major, major)
+    phi = 0.5 * math.atan2(2.0 * p01, p00 - p11) if disc > 1e-14 * tr else 0.0
+    return InscribedMember(
+        parameter=parameter,
+        param_kind=kind,
+        conic=conic_transform(conic, back).canonical(),
+        geom=EllipseGeom(center=back((cx, cy)), a=major, b=minor, phi=phi),
+        tangency=tuple(tangency),
     )
 
 
@@ -410,19 +380,14 @@ def max_area_ellipse(q: ConvexQuad) -> InscribedMember:
 
 
 def max_area_by_search(q: ConvexQuad) -> InscribedMember:
-    """Maximal-area inscribed ellipse by golden-section over the dual pencil.
+    """Maximal-area inscribed ellipse by golden-section search of det S
+    (_member_shape) over the pencil, lam in (0, 1).
 
-    A numerical cross-check of max_area_ellipse for tests and benchmarks;
-    no route of the package calls it.
+    An independent check of _max_area_lambda's choice of root, for tests
+    and benchmarks; no route of the package calls it.
     """
     alpha, beta, back = diagonal_frame(q)
-    frame = frame_vertices(alpha, beta)
-
-    def area_at(u: float) -> float:
-        a = ellipse_area_of_coeffs(*_pencil_conic(frame, u).as_tuple())
-        return a if math.isfinite(a) else 0.0
-
-    lam, _ = golden_max(area_at, 0.0, 1.0, tol=1e-12)
+    lam, _ = golden_max(lambda u: _member_shape(alpha, beta, u)[5], 0.0, 1.0, tol=1e-12)
     return _pencil_member(q, alpha, beta, back, lam)
 
 
@@ -430,7 +395,8 @@ def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
     """Sample (parameter, area, center) along the inscribed family.
 
     One dual pencil is swept over lam in (0, 1) for every quad, and rows are
-    labelled by lam. A parallelogram labels them by the tangency height
+    labelled by lam; each area is pi sqrt(det S) (_member_shape) times the
+    frame's area scale. A parallelogram labels them by the tangency height
     v = k lam in (0, k) of its frame: in the diagonal frame its pencil
     member is x^2 / (lam / 4) + y^2 / ((1 - lam) / 4) = 1, with a fixed
     center and an area symmetric in lam <-> 1 - lam. Rows are in increasing
@@ -440,12 +406,11 @@ def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
         raise ParameterOutOfRange(f"sample count must be positive, got {count}")
     scale = parallelogram_frame(q).k if q.is_parallelogram else 1.0
     alpha, beta, back = diagonal_frame(q)
-    frame = frame_vertices(alpha, beta)
     m1, m2 = diagonal_midpoints(q)
     rows: list[tuple[float, float, Point]] = []
     for i in range(count):
         lam = (i + 1.0) / (count + 1.0)
-        area = ellipse_area_of_coeffs(*_pencil_conic(frame, lam).as_tuple()) * back.det()
+        area = math.pi * math.sqrt(_member_shape(alpha, beta, lam)[5]) * back.det()
         center = (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
         rows.append((scale * (i + 1.0) / (count + 1.0), area, center))
     return rows

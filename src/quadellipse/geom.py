@@ -211,7 +211,14 @@ def cubic_roots(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     x = math.ldexp(y, k)
     if from_end:
         # In x, from c and d as given: the rescaled ones may have underflowed
-        # and taken the smaller roots with them.
+        # and taken the smaller roots with them. A tiny a scales a, c and d
+        # up by 2**-ea, exactly, so that -d / x does not underflow beside a
+        # huge root; where that overflows, they stay as given.
+        if ea < 0:
+            try:
+                a, c, d = math.ldexp(a, -ea), math.ldexp(c, -ea), math.ldexp(d, -ea)
+            except OverflowError:
+                pass
         c2 = -d / x
         b1 = (c2 - c) / x
         return (x,) + _quotient_roots(*_pow2_normalized(a, b1, c2))

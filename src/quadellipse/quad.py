@@ -55,10 +55,6 @@ class ConvexQuad:
         v = self.vertices
         return tuple(Line.through(v[i], v[(i + 1) % 4]) for i in range(4))
 
-    def perimeter(self) -> float:
-        v = self.vertices
-        return sum(distance(v[i], v[(i + 1) % 4]) for i in range(4))
-
     def diameter(self) -> float:
         v = self.vertices
         return max(distance(v[i], v[j]) for i in range(4) for j in range(i + 1, 4))

@@ -246,14 +246,13 @@ def check_ratio_formula(s: float, t: float) -> float:
 class InequalityReport:
     """Maximal inscribed-area ratio of one quad against the pi/4 bound."""
 
-    quad_id: str
     ratio: float
     bound_gap: float
     is_parallelogram: bool
     is_trapezoid: bool
 
 
-def check_area_inequality(q: ConvexQuad, quad_id: str = "") -> InequalityReport:
+def check_area_inequality(q: ConvexQuad) -> InequalityReport:
     """Ratio of the maximal inscribed ellipse area to the quad area.
 
     Every quad, trapezoids included, uses the closed-form maximal member of
@@ -262,7 +261,6 @@ def check_area_inequality(q: ConvexQuad, quad_id: str = "") -> InequalityReport:
     """
     ratio = ellipse_area(max_area_ellipse(q).geom) / quad_area(q)
     return InequalityReport(
-        quad_id=quad_id,
         ratio=ratio,
         bound_gap=QUARTER_PI - ratio,
         is_parallelogram=q.is_parallelogram,
@@ -482,10 +480,9 @@ def sample_convex_quad(
         return q
 
 
-def sample_parallelogram_vertices(
-    rng: np.random.Generator, min_cross: float = 0.1
-) -> tuple[Point, Point, Point, Point]:
-    """Vertices of a random parallelogram with a well-separated edge pair.
+def sample_parallelogram_vertices(rng: np.random.Generator) -> tuple[Point, Point, Point, Point]:
+    """Vertices of a random parallelogram whose edge pair has a cross
+    product of at least 0.1.
 
     The fourth vertex is computed as third + side, so opposite edges stay
     parallel to the last floating-point bit. Coordinates are Python floats.
@@ -495,7 +492,7 @@ def sample_parallelogram_vertices(
         wx, wy = rng.uniform(-1.0, 1.0, 2).tolist()
         if math.hypot(ux, uy) < 0.25 or math.hypot(wx, wy) < 0.25:
             continue
-        if abs(ux * wy - uy * wx) < min_cross:
+        if abs(ux * wy - uy * wx) < 0.1:
             continue
         x0, y0 = rng.uniform(-1.0, 1.0, 2).tolist()
         v1 = (x0 + ux, y0 + uy)

@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quadellipse.conic import (
     ConicKind,
+    TangencyKind,
     classify_conic,
     conic_to_ellipse,
     ellipse_area,
+    line_tangency,
     proportional,
 )
 from quadellipse.errors import (
@@ -32,7 +34,7 @@ from quadellipse.family import (
     rectangle_semi_axes_sq,
 )
 from quadellipse.geom import AffineMap, distance, midpoint
-from quadellipse.quad import parallelogram_frame, quad_area, validate
+from quadellipse.quad import diagonal_midpoints, parallelogram_frame, quad_area, validate
 from quadellipse.verify import (
     check_foci_on_bestfit,
     marden_check,
@@ -337,6 +339,19 @@ class TestEllipseAtCenter:
         assert member.geom.center == pytest.approx(center, abs=1e-9)
         for side in q.sides():
             assert min(side.distance_to(p) for p in member.tangency) < 1e-8
+
+    @pytest.mark.parametrize("lam", [2e-12, 1.0 - 2e-12])
+    def test_centers_next_to_the_segment_ends(self, lam):
+        # Just inside the open segment the member is a thin ellipse along a
+        # diagonal; it is still real, centred as asked and tangent to every
+        # side, which by Newton's theorem makes it the unique member there.
+        q = validate(((0.238, 0.301), (0.941, 0.507), (0.978, 0.521), (0.431, 0.72)))
+        m1, m2 = diagonal_midpoints(q)
+        center = (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
+        member = ellipse_at_center(q, center)
+        assert distance(member.geom.center, center) <= 1e-9 * q.diameter()
+        for side in q.sides():
+            assert line_tangency(member.conic, side).kind is TangencyKind.TANGENT
 
 
 class TestMaximalMember:

@@ -162,6 +162,18 @@ class TestCubicRoots:
     def test_triple_root(self):
         assert cubic_roots(2.0, -6.0, 6.0, -2.0) == (1.0, 1.0, 1.0)
 
+    def test_tiny_constant_beside_a_huge_root_adds_no_root(self):
+        # Dividing out the huge root from the constant end leaves -d / x of
+        # about 5e-354, which underflowed to a spurious root 0.
+        roots = cubic_roots(
+            -1.809861573057764e-209,
+            -1.7172505182174955e-62,
+            1.7026390003123337e-182,
+            -4.925828614080827e-207,
+        )
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(-9.488297579113733e146, rel=1e-15)
+
     def test_zero_leading_coefficient_falls_back_to_quadratic(self):
         assert cubic_roots(0.0, 1.0, -3.0, 2.0) == quadratic_roots(1.0, -3.0, 2.0)
         assert cubic_roots(0.0, 0.0, 2.0, -6.0) == (3.0,)
