@@ -21,6 +21,13 @@ the ellipse (x - c)^T S^-1 (x - c) = 1 with S = diag(lam p, (1 - lam) r) + c c^T
 and det S = lam (1 - lam) (p + (r - p) lam) / 4, positive exactly for lam in
 (0, 1). Its area is pi sqrt(det S) in the frame: det S is the area profile
 that _max_area_lambda maximises.
+
+The member touches a side line l0 x + l1 y + l2 = 0 at its pole N(lam) l,
+((cx l2 - lam p l0) / w, (cy l2 - (1 - lam) r l1) / w) with w = cx l0 +
+cy l1 + l2, nonzero as c lies strictly inside. The frame sides are
+(beta, alpha, alpha beta), (-beta, 1 - alpha, (1 - alpha) beta),
+(-(1 - beta), -(1 - alpha), (1 - alpha)(1 - beta)) and
+(1 - beta, -alpha, alpha (1 - beta)).
 """
 
 from __future__ import annotations
@@ -28,34 +35,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .conic import (
-    ConicCoeffs,
-    EllipseGeom,
-    TangencyKind,
-    conic_to_ellipse,
-    conic_transform,
-    line_tangency,
-)
-from .errors import (
-    CenterOffLocus,
-    IsParallelogram,
-    OptimizationFailed,
-    ParameterOutOfRange,
-)
-from .geom import AffineMap, Line, Point, golden_max, quadratic_roots
+from .conic import ConicCoeffs, EllipseGeom, conic_to_ellipse, conic_transform
+from .errors import CenterOffLocus, IsParallelogram, ParameterOutOfRange
+from .geom import AffineMap, Point, golden_max, quadratic_roots
 from .quad import (
     ConvexQuad,
     ParallelogramFrame,
     _anchor_index,
     diagonal_frame,
     diagonal_midpoints,
-    frame_vertices,
     parallelogram_frame,
     require_canonical_pair,
     validate,
 )
 
 _LAM_EDGE = 1e-12
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -74,9 +69,6 @@ class CenterLocus:
 
     def line_at(self, x: float) -> float:
         return 0.5 * (self.s - self.t + 2.0 * x * (self.t - 1.0)) / (self.s - 1.0)
-
-    def line(self) -> Line:
-        return Line.through(self.m1, self.m2)
 
     def interval(self) -> tuple[float, float]:
         lo, hi = 0.5, 0.5 * self.s
@@ -152,7 +144,11 @@ def parallelogram_family(l: float, k: float, d: float, v: float) -> InscribedMem
     rectangle family gives the conic
 
         k^3 x^2 + (k (d+l)^2 - 4 d l v) y^2 - 2 k (k (d+l) - 2 l v) x y
-        - 2 k^2 l v x + 2 k l v (d - l) y + k l^2 v^2 = 0.
+        - 2 k^2 l v x + 2 k l v (d - l) y + k l^2 v^2 = 0,
+
+    and its tangency points are the rectangle family's under the same shear
+    x -> x + (d/k) y: (lv/k, 0), (l + d(k - v)/k, k - v), (l(k - v)/k + d, k)
+    and (dv/k, v).
     """
     if not (l > 0.0 and k > 0.0) or d < 0.0:
         raise ParameterOutOfRange("frame needs l, k > 0 and d >= 0")
@@ -167,20 +163,18 @@ def parallelogram_family(l: float, k: float, d: float, v: float) -> InscribedMem
         e=2.0 * k * l * v * (d - l),
         f=k * l * l * v * v,
     )
-    corners = ((0.0, 0.0), (l, 0.0), (dl, k), (d, k))
-    tangency = []
-    for i in range(4):
-        side = Line.through(corners[i], corners[(i + 1) % 4])
-        res = line_tangency(conic, side)
-        if res.kind is not TangencyKind.TANGENT:  # pragma: no cover
-            raise OptimizationFailed(f"family member failed tangency on side {i}")
-        tangency.append(res.point)
+    tangency = (
+        (l * v / k, 0.0),
+        (l + d * (k - v) / k, k - v),
+        (l * (k - v) / k + d, k),
+        (d * v / k, v),
+    )
     return InscribedMember(
         parameter=v,
         param_kind="v",
         conic=conic,
         geom=conic_to_ellipse(conic),
-        tangency=tuple(tangency),
+        tangency=tangency,
     )
 
 
@@ -268,11 +262,11 @@ def _member_shape(
 def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
     """The unique inscribed ellipse of a convex quad with the given center.
 
-    Admissible centers form the open segment between the diagonal midpoints;
-    anything off that segment (beyond 1e-9 transversally, measured in the
-    diagonal frame, where both diagonals have unit length, or outside the
-    open range) raises CenterOffLocus. Parallelograms collapse the segment
-    to a point and are refused.
+    Admissible centers form the open segment between the diagonal midpoints.
+    A center outside its open range, or off it in the diagonal frame by more
+    than 1e-9 + 8 eps max(|center|, |t|) |L^-1|_F (back = L x + t: the
+    rounding an input-coordinate center carries into the frame), raises
+    CenterOffLocus. Parallelograms collapse the segment and are refused.
     """
     if q.is_parallelogram:
         raise IsParallelogram(
@@ -280,13 +274,15 @@ def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
             "use midpoint_ellipse on its frame"
         )
     alpha, beta, back = diagonal_frame(q)
-    cx, cy = back.inverse()(center)
+    inv = back.inverse()
+    cx, cy = inv(center)
     # In the frame M1 = (0, 1/2 - beta) and M2 = (1/2 - alpha, 0).
     sx, sy = 0.5 - alpha, beta - 0.5
     wx, wy = cx, cy + sy
     lam = (wx * sx + wy * sy) / (sx * sx + sy * sy)
     off = math.hypot(wx - lam * sx, wy - lam * sy)
-    if off > 1e-9:
+    reach = max(abs(center[0]), abs(center[1]), abs(back.tx), abs(back.ty))
+    if off > 1e-9 + 8.0 * _EPS * reach * math.hypot(inv.m00, inv.m01, inv.m10, inv.m11):
         raise CenterOffLocus(
             f"center {center} lies {off:.3g} off the diagonal-midpoint segment"
         )
@@ -307,11 +303,12 @@ def _pencil_member(
     In the frame its conic is (x - c)^T adj(S) (x - c) = det S, written out
     without cancellation: with D = diag(lam p, (1 - lam) r), the quadratic
     part is adj S, the linear part -2 adj(D) c and the constant -det D. It
-    must touch the four frame sides. The centre and the tangency points go
-    through ``back``; the semi-axes and the angle are those of the placed
-    shape P = L S L^T, L the linear part of ``back``: major^2 is the larger
-    eigenvalue of P, minor = |det L| sqrt(det S) / major, which cancels
-    nothing however thin the member, and a circle gets angle 0.
+    touches side l at its pole ((cx l2 - dp l0) / w, (cy l2 - dr l1) / w),
+    w = cx l0 + cy l1 + l2 (module docstring). The centre and the tangency
+    points go through ``back``; the semi-axes and the angle are those of the
+    placed shape P = L S L^T, L the linear part of ``back``: major^2 is the
+    larger eigenvalue of P, minor = |det L| sqrt(det S) / major, which
+    cancels nothing however thin the member, and a circle gets angle 0.
 
     Its parameter is "v" = k/2 for a parallelogram, "pencil" = lam for a
     trapezoid, and otherwise the canonical abscissa "h" of the center for
@@ -323,15 +320,16 @@ def _pencil_member(
         raise CenterOffLocus("pencil member at the requested center is not a real ellipse")
     dp, dr = lam * alpha * (1.0 - alpha), (1.0 - lam) * beta * (1.0 - beta)
     conic = ConicCoeffs(s11, s00, -s01, -2.0 * dr * cx, -2.0 * dp * cy, -dp * dr)
-    frame = frame_vertices(alpha, beta)
+    a1, b1 = 1.0 - alpha, 1.0 - beta
     tangency = []
-    for i in range(4):
-        res = line_tangency(conic, Line.through(frame[i], frame[(i + 1) % 4]))
-        if res.kind is not TangencyKind.TANGENT:
-            raise CenterOffLocus(
-                f"member is not tangent to side {i} (residual {res.residual:.3g})"
-            )
-        tangency.append(back(res.point))
+    for l0, l1, l2 in (
+        (beta, alpha, alpha * beta),
+        (-beta, a1, a1 * beta),
+        (-b1, -a1, a1 * b1),
+        (b1, -alpha, alpha * b1),
+    ):
+        w = cx * l0 + cy * l1 + l2
+        tangency.append(back(((cx * l2 - dp * l0) / w, (cy * l2 - dr * l1) / w)))
     if q.is_parallelogram:
         parameter, kind = 0.5 * parallelogram_frame(q).k, "v"
     elif q.is_trapezoid:

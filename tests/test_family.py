@@ -139,6 +139,21 @@ class TestParallelogramFamily:
             seg = distance(u, w)
             assert distance(u, p) + distance(p, w) == pytest.approx(seg, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [-6, 0, 3, 6])
+    def test_tangency_in_any_units(self, k):
+        # The tangency points are sheared rectangle-family points, exact in
+        # any units; a tangency search in input units, whose residual is a
+        # squared length, rejects this frame from sides of about 1e3 on.
+        u = 10.0**k
+        member = parallelogram_family(2.0 * u, 1.0 * u, 0.5 * u, 0.3 * u)
+        corners = ((0.0, 0.0), (2.0 * u, 0.0), (2.5 * u, u), (0.5 * u, u))
+        want = ((0.6 * u, 0.0), (2.35 * u, 0.7 * u), (1.9 * u, u), (0.15 * u, 0.3 * u))
+        for i, (p, w) in enumerate(zip(member.tangency, want)):
+            assert math.dist(p, w) <= 1e-15 * u, i
+            assert abs(member.conic.evaluate(*p)) <= 1e-12 * member.conic.max_abs() * u * u, i
+            seg = distance(corners[i], corners[(i + 1) % 4])
+            assert distance(corners[i], p) + distance(p, corners[(i + 1) % 4]) == pytest.approx(seg, rel=1e-12)
+
     def test_midpoint_ellipse_centers_on_parallelogram_center(self):
         verts = ((1.0, 1.0), (4.0, 2.0), (5.0, 5.0), (2.0, 4.0))
         q = validate(verts)
@@ -340,6 +355,27 @@ class TestEllipseAtCenter:
         for side in q.sides():
             assert min(side.distance_to(p) for p in member.tangency) < 1e-8
 
+    @pytest.mark.parametrize("aspect", [1.0, 1e-3, 1e-6])
+    @pytest.mark.parametrize("diams", [0.0, 1e3, 1e6])
+    def test_offset_and_thin_placements(self, aspect, diams):
+        # Centres computed on the segment in input coordinates carry rounding
+        # of about eps |centre|, which the frame map magnifies on thin quads:
+        # they are accepted, and centres 1e-6 diameters off the segment are not.
+        # (The member's centre is the nearest segment point in the frame's
+        # metric, not the input's, so it is not compared with the request.)
+        base = [(x + 0.3 * y, aspect * y) for x, y in GENERIC.vertices]
+        c, s = math.cos(0.7), math.sin(0.7)
+        off = diams * _diameter(base)
+        q = validate(tuple((c * x - s * y + 0.6 * off, s * x + c * y - 0.8 * off) for x, y in base))
+        m1, m2 = diagonal_midpoints(q)
+        dx, dy = m2[0] - m1[0], m2[1] - m1[1]
+        step = 1e-6 * q.diameter() / math.hypot(dx, dy)
+        for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
+            center = (m1[0] + lam * dx, m1[1] + lam * dy)
+            assert ellipse_at_center(q, center).param_kind == "h"
+            with pytest.raises(CenterOffLocus):
+                ellipse_at_center(q, (center[0] - step * dy, center[1] + step * dx))
+
     @pytest.mark.parametrize("lam", [2e-12, 1.0 - 2e-12])
     def test_centers_next_to_the_segment_ends(self, lam):
         # Just inside the open segment the member is a thin ellipse along a
@@ -431,18 +467,46 @@ class TestMaximalMember:
             assert ratio == pytest.approx(base_ratio, rel=1e-9)
 
     def test_tangency_points_follow_side_order(self):
-        # tangency[i] must lie on side i. Parallelograms whose frame takes
-        # base 1, such as the first one here, used to come out rotated by
-        # one side.
+        # tangency[i] must lie on side i and on the conic. Parallelograms
+        # whose frame takes base 1, such as the first one here, used to come
+        # out rotated by one side. Each quad is also scaled by ~1e+-6 and
+        # moved off the origin by up to 1e4 diameters.
         rng = np.random.default_rng(17)
-        quads = [validate(((-2.0, -1.0), (0.0, -2.0), (0.0, 0.0), (-2.0, 1.0)))]
-        quads += [validate(sample_parallelogram_vertices(rng)) for _ in range(40)]
-        quads += [sample_convex_quad(rng) for _ in range(40)]
-        quads += [validate(((0.0, 0.0), (8.0, 0.5), (6.0, 2.5), (2.0, 2.25))), validate(THIN_TRAPEZOID)]
-        for q in quads:
-            member = max_area_ellipse(q)
-            for i, (p, side) in enumerate(zip(member.tangency, q.sides())):
-                assert side.distance_to(p) <= 1e-9 * q.diameter(), (q.vertices, i)
+        bases = [((-2.0, -1.0), (0.0, -2.0), (0.0, 0.0), (-2.0, 1.0))]
+        bases += [sample_parallelogram_vertices(rng) for _ in range(40)]
+        bases += [sample_convex_quad(rng).vertices for _ in range(40)]
+        bases += [((0.0, 0.0), (8.0, 0.5), (6.0, 2.5), (2.0, 2.25)), THIN_TRAPEZOID]
+        for base in bases:
+            for scale in (2.0**-20, 1.0, 2.0**20):
+                for diams in (0.0, 1e2, 1e4):
+                    self._check_tangency(base, scale, diams * scale * _diameter(base))
+
+    @staticmethod
+    def _check_tangency(base, scale, off):
+        q = validate(tuple((scale * x + 0.6 * off, scale * y - 0.8 * off) for x, y in base))
+        member = max_area_ellipse(q)
+        # line_tangency is the independent check. Its tangency test is a
+        # squared length, and the placed conic carries rounding of about
+        # eps off^2 / diameter, so it runs on the member of the same quad
+        # moved back exactly to the origin and scaled by a power of two to a
+        # diameter of at most 1.
+        unit = scale * 2.0 ** math.ceil(math.log2(_diameter(base)))
+        back = validate(
+            tuple(
+                (float((Fraction(x) - Fraction(0.6 * off)) / Fraction(unit)),
+                 float((Fraction(y) + Fraction(0.8 * off)) / Fraction(unit)))
+                for x, y in q.vertices
+            )
+        )
+        ref = max_area_ellipse(back)
+        for i, (p, side, ref_side) in enumerate(zip(member.tangency, q.sides(), back.sides())):
+            assert side.distance_to(p) <= 1e-9 * q.diameter(), (q.vertices, i)
+            assert abs(member.conic.evaluate(*p)) <= 1e-9 * member.conic.max_abs(), (q.vertices, i)
+            res = line_tangency(ref.conic, ref_side)
+            assert res.kind is TangencyKind.TANGENT, (q.vertices, i)
+            x, y = res.point
+            want = (unit * x + 0.6 * off, unit * y - 0.8 * off)
+            assert distance(p, want) <= 1e-9 * q.diameter(), (q.vertices, i)
 
     def test_maximum_dominates_family(self):
         member = max_area_ellipse(GENERIC)
