@@ -78,7 +78,10 @@ def _load_document(path: str) -> tuple[ConvexQuad, str | None]:
             raise DomainError("vertex coordinates must be numbers")
         if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
             raise DomainError("vertex coordinates must be numbers")
-        points.append((float(x), float(y)))
+        try:
+            points.append((float(x), float(y)))
+        except OverflowError:
+            raise DomainError("vertex coordinates must fit in a float") from None
     doc_id = doc.get("id")
     if doc_id is not None and not isinstance(doc_id, str):
         raise DomainError("document field 'id' must be a string when present")
@@ -424,7 +427,7 @@ def run(argv: list[str]) -> int:
     except QuadEllipseError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid JSON document: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -25,8 +25,8 @@ from .geom import AffineMap, Line, Point
 # classify_conic.
 DEGENERACY_RTOL = 1e-12
 
-# A line counts as tangent when the normalized restricted discriminant is
-# below this bound (see line_tangency).
+# A line counts as tangent when its squared half-chord, over the conic's
+# squared major semi-axis, is below this bound (see line_tangency).
 TANGENCY_TOL = 1e-9
 
 
@@ -131,9 +131,10 @@ class EllipseGeom:
 class TangencyResult:
     """Outcome of restricting a conic to a line.
 
-    ``residual`` is the restricted discriminant after normalizing the
-    restricted quadratic's leading coefficient to one, which makes it
-    invariant under rescaling of both the conic and the line.
+    ``residual`` is the squared ratio of the half-chord the conic cuts from
+    the line to the conic's major semi-axis: 0 for a tangent line and 1 for
+    the major axis. It is dimensionless, so it does not change when the
+    plane or the conic's coefficients are rescaled.
     """
 
     kind: TangencyKind
@@ -291,19 +292,31 @@ def foci(geom: EllipseGeom) -> tuple[Point, Point]:
 def line_tangency(coeffs: ConicCoeffs, line: Line) -> TangencyResult:
     """Classify the intersection of an ellipse with a line.
 
-    The conic is restricted to a unit-speed parameterization of the line,
-    giving q(t) = qa*t^2 + qb*t + qc. The reported residual is
-    |qb^2 - 4*qa*qc| / qa^2, i.e. the squared distance between the two
-    parameter roots, which is invariant under rescaling the conic or the
-    line. Residual below TANGENCY_TOL counts as tangent.
+    Restricted to a unit-speed parameterization of the line, the conic is
+    q(t) = qa*t^2 + qb*t + qc, with roots 2w apart, w^2 = disc / (4 qa^2).
+    The residual is |w^2| over the squared major semi-axis -fc / lam_min, so
+    it has no unit. fc, the value at the center, is summed in the quadratic
+    part's eigenframe, where a thin ellipse keeps its digits (det3 / det2
+    cancels to nothing there). Residual below TANGENCY_TOL counts as
+    tangent; det2 = 0, fc = 0 or qa = 0 raises NotAnEllipse.
     """
+    a, b, c, d, e, f = _sign_normalized_quad(coeffs)
+    det2 = a * b - c * c
+    if det2 == 0.0:
+        raise NotAnEllipse("conic has no center; it is not an ellipse")
+    lam_max = 0.5 * (a + b + math.hypot(a - b, 2.0 * c))
+    lam_min = det2 / lam_max
+    phi = 0.5 * math.atan2(2.0 * c, a - b)
+    cp, sp = math.cos(phi), math.sin(phi)
+    du, dv = d * cp + e * sp, e * cp - d * sp
+    fc = f - du * du / (4.0 * lam_max) - dv * dv / (4.0 * lam_min)
     n = math.hypot(line.a, line.b)
     dx, dy = line.b / n, -line.a / n
     x0 = -line.a * line.c / (n * n)
     y0 = -line.b * line.c / (n * n)
-    a, b, c, d, e, f = coeffs.as_tuple()
     qa = a * dx * dx + b * dy * dy + 2.0 * c * dx * dy
-    if qa == 0.0:
+    scale = 4.0 * qa * qa * abs(fc)
+    if scale == 0.0:
         raise NotAnEllipse("restricted quadratic degenerates; conic is not an ellipse")
     qb = (
         2.0 * (a * x0 * dx + b * y0 * dy)
@@ -311,9 +324,9 @@ def line_tangency(coeffs: ConicCoeffs, line: Line) -> TangencyResult:
         + d * dx
         + e * dy
     )
-    qc = coeffs.evaluate(x0, y0)
+    qc = a * x0 * x0 + b * y0 * y0 + 2.0 * c * x0 * y0 + d * x0 + e * y0 + f
     disc = qb * qb - 4.0 * qa * qc
-    residual = abs(disc) / (qa * qa)
+    residual = abs(disc * lam_min) / scale
     if residual < TANGENCY_TOL:
         t = -qb / (2.0 * qa)
         return TangencyResult(TangencyKind.TANGENT, (x0 + t * dx, y0 + t * dy), residual)

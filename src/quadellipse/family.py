@@ -6,7 +6,9 @@ construction that produces the unique inscribed ellipse at any admissible
 center, and the maximal-area member in closed form for every convex quad.
 Members of a given quad are built in its diagonal frame (quad.diagonal_frame),
 where the diagonals are perpendicular unit segments, and mapped back; units,
-placement and aspect do not cost digits.
+placement and aspect do not cost digits. Each is labelled by its pencil
+position lam in (0, 1), its centre being M1 + lam (M2 - M1) with
+(M1, M2) = diagonal_midpoints(q), whatever the quad's flags.
 
 The dual pencil: tangency to all four side lines means the dual conic passes
 through four fixed dual points, and that pencil is spanned by the point
@@ -41,10 +43,8 @@ from .geom import AffineMap, Point, golden_max, quadratic_roots
 from .quad import (
     ConvexQuad,
     ParallelogramFrame,
-    _anchor_index,
     diagonal_frame,
     diagonal_midpoints,
-    parallelogram_frame,
     require_canonical_pair,
     validate,
 )
@@ -79,12 +79,11 @@ class CenterLocus:
 class InscribedMember:
     """One inscribed ellipse of a quadrilateral family.
 
-    ``parameter`` is the family coordinate named by ``param_kind``: "h" for
-    the canonical-frame center abscissa of a general quad, "v" for the
-    tangency height on a parallelogram frame, "pencil" for the position lam
-    of the center along the diagonal-midpoint segment M1 -> M2 (used for
-    trapezoids, which have no canonical frame).
-    ``tangency`` holds one point per side, in side order.
+    ``parameter`` is the family coordinate named by ``param_kind``:
+    "pencil" for every member built from a quad, the position lam in (0, 1)
+    of its center along the diagonal-midpoint segment M1 -> M2; "v" only
+    for rectangle_family and parallelogram_family, the tangency height on
+    their frame. ``tangency`` holds one point per side, in side order.
     """
 
     parameter: float
@@ -185,14 +184,14 @@ def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
     maximal-area inscribed ellipse of the parallelogram, with area
     (pi/4) * l * k. It is max_area_ellipse of the placed corners, built in
     their diagonal frame however thin or sheared the parallelogram is, with
-    tangency points in the frame's side order.
+    tangency points in the frame's side order; its parameter is the pencil
+    position lam, 1/2 up to the rounding of the corners.
     """
     corners = frame.placed_corners()
     q = validate(corners)
     member = max_area_ellipse(q)
     i = q.vertices.index(corners[0])
-    tangency = member.tangency[i:] + member.tangency[:i]
-    return replace(member, parameter=0.5 * frame.k, param_kind="v", tangency=tangency)
+    return replace(member, tangency=member.tangency[i:] + member.tangency[:i])
 
 
 def locus_line(s: float, t: float) -> CenterLocus:
@@ -262,11 +261,13 @@ def _member_shape(
 def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
     """The unique inscribed ellipse of a convex quad with the given center.
 
-    Admissible centers form the open segment between the diagonal midpoints.
-    A center outside its open range, or off it in the diagonal frame by more
-    than 1e-9 + 8 eps max(|center|, |t|) |L^-1|_F (back = L x + t: the
-    rounding an input-coordinate center carries into the frame), raises
-    CenterOffLocus. Parallelograms collapse the segment and are refused.
+    Admissible centers form the open segment between the diagonal midpoints;
+    lam is the center's projection onto M1 -> M2 in input coordinates. A
+    center outside the open segment, or whose frame image back^-1(c) lies
+    farther than 1e-9 + 8 eps max(|c|, |t|, |L|_F) |L^-1|_F from the frame
+    point at lam (back = L x + t: the rounding that c, alpha and beta carry
+    into the frame), raises CenterOffLocus. Parallelograms collapse the
+    segment and are refused.
     """
     if q.is_parallelogram:
         raise IsParallelogram(
@@ -274,14 +275,17 @@ def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
             "use midpoint_ellipse on its frame"
         )
     alpha, beta, back = diagonal_frame(q)
+    (m1x, m1y), (m2x, m2y) = diagonal_midpoints(q)
+    sx, sy = m2x - m1x, m2y - m1y
+    span = sx * sx + sy * sy
+    if span == 0.0:
+        raise CenterOffLocus("the diagonal midpoints coincide; there is no segment of centers")
+    lam = ((center[0] - m1x) * sx + (center[1] - m1y) * sy) / span
     inv = back.inverse()
     cx, cy = inv(center)
-    # In the frame M1 = (0, 1/2 - beta) and M2 = (1/2 - alpha, 0).
-    sx, sy = 0.5 - alpha, beta - 0.5
-    wx, wy = cx, cy + sy
-    lam = (wx * sx + wy * sy) / (sx * sx + sy * sy)
-    off = math.hypot(wx - lam * sx, wy - lam * sy)
+    off = math.hypot(cx - lam * (0.5 - alpha), cy - (1.0 - lam) * (0.5 - beta))
     reach = max(abs(center[0]), abs(center[1]), abs(back.tx), abs(back.ty))
+    reach = max(reach, math.hypot(back.m00, back.m01, back.m10, back.m11))
     if off > 1e-9 + 8.0 * _EPS * reach * math.hypot(inv.m00, inv.m01, inv.m10, inv.m11):
         raise CenterOffLocus(
             f"center {center} lies {off:.3g} off the diagonal-midpoint segment"
@@ -290,15 +294,13 @@ def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
         raise CenterOffLocus(
             f"center {center} falls outside the open midpoint segment (lam = {lam})"
         )
-    return _pencil_member(q, alpha, beta, back, lam)
+    return _pencil_member(alpha, beta, back, lam)
 
 
-def _pencil_member(
-    q: ConvexQuad, alpha: float, beta: float, back: AffineMap, lam: float
-) -> InscribedMember:
-    """The inscribed ellipse of q centered at M1 + lam (M2 - M1), built in
-    q's diagonal frame (alpha, beta) from _member_shape and placed back onto
-    q by ``back``.
+def _pencil_member(alpha: float, beta: float, back: AffineMap, lam: float) -> InscribedMember:
+    """The inscribed ellipse centered at M1 + lam (M2 - M1), built in the
+    diagonal frame (alpha, beta) from _member_shape and placed back onto the
+    quad by ``back``; its parameter is lam ("pencil").
 
     In the frame its conic is (x - c)^T adj(S) (x - c) = det S, written out
     without cancellation: with D = diag(lam p, (1 - lam) r), the quadratic
@@ -309,11 +311,6 @@ def _pencil_member(
     placed shape P = L S L^T, L the linear part of ``back``: major^2 is the
     larger eigenvalue of P, minor = |det L| sqrt(det S) / major, which
     cancels nothing however thin the member, and a circle gets angle 0.
-
-    Its parameter is "v" = k/2 for a parallelogram, "pencil" = lam for a
-    trapezoid, and otherwise the canonical abscissa "h" of the center for
-    the anchor normalize uses: relabelling the vertices from anchor i maps
-    (alpha, beta, lam) as below, and then s = (1 - beta) / alpha.
     """
     cx, cy, s00, s01, s11, det = _member_shape(alpha, beta, lam)
     if not det > 0.0:
@@ -330,18 +327,6 @@ def _pencil_member(
     ):
         w = cx * l0 + cy * l1 + l2
         tangency.append(back(((cx * l2 - dp * l0) / w, (cy * l2 - dr * l1) / w)))
-    if q.is_parallelogram:
-        parameter, kind = 0.5 * parallelogram_frame(q).k, "v"
-    elif q.is_trapezoid:
-        parameter, kind = lam, "pencil"
-    else:
-        a, b, u = (
-            (alpha, beta, lam),
-            (beta, 1.0 - alpha, 1.0 - lam),
-            (1.0 - alpha, 1.0 - beta, lam),
-            (1.0 - beta, alpha, 1.0 - lam),
-        )[_anchor_index(q)]
-        parameter, kind = 0.5 + 0.5 * ((1.0 - b) / a - 1.0) * u, "h"
     m00, m01, m10, m11 = back.m00, back.m01, back.m10, back.m11
     u0, u1 = m00 * s00 + m01 * s01, m00 * s01 + m01 * s11
     w0, w1 = m10 * s00 + m11 * s01, m10 * s01 + m11 * s11
@@ -351,8 +336,8 @@ def _pencil_member(
     minor = min(abs(back.det()) * math.sqrt(det) / major, major)
     phi = 0.5 * math.atan2(2.0 * p01, p00 - p11) if disc > 1e-14 * tr else 0.0
     return InscribedMember(
-        parameter=parameter,
-        param_kind=kind,
+        parameter=lam,
+        param_kind="pencil",
         conic=conic_transform(conic, back).canonical(),
         geom=EllipseGeom(center=back((cx, cy)), a=major, b=minor, phi=phi),
         tangency=tuple(tangency),
@@ -374,7 +359,7 @@ def max_area_ellipse(q: ConvexQuad) -> InscribedMember:
     """
     alpha, beta, back = diagonal_frame(q)
     lam = _max_area_lambda(alpha * (1.0 - alpha), (1.0 - alpha - beta) * (beta - alpha))
-    return _pencil_member(q, alpha, beta, back, lam)
+    return _pencil_member(alpha, beta, back, lam)
 
 
 def max_area_by_search(q: ConvexQuad) -> InscribedMember:
@@ -386,23 +371,19 @@ def max_area_by_search(q: ConvexQuad) -> InscribedMember:
     """
     alpha, beta, back = diagonal_frame(q)
     lam, _ = golden_max(lambda u: _member_shape(alpha, beta, u)[5], 0.0, 1.0, tol=1e-12)
-    return _pencil_member(q, alpha, beta, back, lam)
+    return _pencil_member(alpha, beta, back, lam)
 
 
 def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
-    """Sample (parameter, area, center) along the inscribed family.
+    """Sample (lam, area, center) along the inscribed family, at
+    lam = (i + 1) / (count + 1) in increasing order, for every quad.
 
-    One dual pencil is swept over lam in (0, 1) for every quad, and rows are
-    labelled by lam; each area is pi sqrt(det S) (_member_shape) times the
-    frame's area scale. A parallelogram labels them by the tangency height
-    v = k lam in (0, k) of its frame: in the diagonal frame its pencil
-    member is x^2 / (lam / 4) + y^2 / ((1 - lam) / 4) = 1, with a fixed
-    center and an area symmetric in lam <-> 1 - lam. Rows are in increasing
-    parameter order.
+    Each center is M1 + lam (M2 - M1) and each area pi sqrt(det S)
+    (_member_shape) times the frame's area scale. A parallelogram's center
+    stays fixed: its frame member is x^2 / (lam / 4) + y^2 / ((1 - lam) / 4) = 1.
     """
     if count < 1:
         raise ParameterOutOfRange(f"sample count must be positive, got {count}")
-    scale = parallelogram_frame(q).k if q.is_parallelogram else 1.0
     alpha, beta, back = diagonal_frame(q)
     m1, m2 = diagonal_midpoints(q)
     rows: list[tuple[float, float, Point]] = []
@@ -410,5 +391,5 @@ def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
         lam = (i + 1.0) / (count + 1.0)
         area = math.pi * math.sqrt(_member_shape(alpha, beta, lam)[5]) * back.det()
         center = (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
-        rows.append((scale * (i + 1.0) / (count + 1.0), area, center))
+        rows.append((lam, area, center))
     return rows

@@ -84,6 +84,21 @@ class TestAnalyze:
         assert code == 2
         assert "number" in capsys.readouterr().err
 
+    def test_coordinate_too_large_for_a_float_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        huge = "1" + "0" * 400
+        path.write_text(f'{{"vertices": [[0, 0], [1, 0], [{huge}, 1], [0, 1]]}}', encoding="utf-8")
+        assert run(["analyze", str(path)]) == 2
+        assert "DomainError" in capsys.readouterr().err
+
+    def test_document_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = '{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "id": "caf\u00e9"}'
+        path.write_bytes(text.encode("latin-1"))
+        assert run(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid JSON document" in err and "utf-8" in err
+
     def test_missing_file_exits_two(self, capsys):
         assert run(["analyze", "/nonexistent/quad.json"]) == 2
         assert capsys.readouterr().err
@@ -93,10 +108,10 @@ class TestAnalyze:
 # floats print as repr, so equal values and key order mean equal bytes.
 TRAPEZOID = {"vertices": [[0, 0], [4, 0], [3, 1], [1, 1]]}
 PINNED_MAX_ELLIPSE = [
-    (RECT, {"id": "rect-1x2", "method": "closed-form", "parameter": 1.0, "parameter_kind": "v", "conic": [1.0, 0.25, 0.0, -1.0, -0.5, 0.25], "equation": "4x^2 + y^2 - 4x - 2y + 1 = 0", "center": [0.5, 1.0], "semi_axes": [1.0, 0.5], "rotation": 1.5707963267948966, "foci": [[0.5, 1.8660254037844386], [0.49999999999999994, 0.1339745962155614]], "area": 1.5707963267948966, "quad_area": 2.0, "ratio": 0.7853981633974483, "bound_gap": 0.0}),
-    (SQUARE, {"method": "closed-form", "parameter": 0.5, "parameter_kind": "v", "conic": [1.0, 1.0, 0.0, -1.0, -1.0, 0.25], "equation": "4x^2 + 4y^2 - 4x - 4y + 1 = 0", "center": [0.5, 0.5], "semi_axes": [0.5, 0.5], "rotation": 0.0, "foci": [[0.5, 0.5], [0.5, 0.5]], "area": 0.7853981633974483, "quad_area": 1.0, "ratio": 0.7853981633974483, "bound_gap": 0.0}),
-    (GENERIC, {"method": "closed-form", "parameter": 0.7742918851774317, "parameter_kind": "h", "conic": [1.0, 0.5452593887471201, -0.5331395201422103, -0.43050087404306026, -0.31788908312068026, 0.04633275063795982], "equation": "21.5830052443x^2 + 11.7683362468y^2 - 23.0135061183xy - 9.29150262213x - 6.86100174809y + 1 = 0", "center": [0.7742918851774317, 1.0485837703548637], "semi_axes": [1.2193495033082504, 0.4606979874984972], "rotation": 0.9869575298526985, "foci": [[1.3966143801641193, 1.9905419901111627], [0.15196939019074418, 0.10662555059856482]], "area": 1.7647955235265615, "quad_area": 2.5, "ratio": 0.7059182094106247, "bound_gap": 0.07947995398682361}),
-    (THIN, {"method": "closed-form", "parameter": 5000.0, "parameter_kind": "v", "conic": [0.9999999900000002, 1.0, -0.9999999900000002, -0.9999999900000002, 0.9998999900010002, 0.24999999750000004], "equation": "4x^2 + 4.00000004y^2 - 8xy - 4x + 3.9996y + 1 = 0", "center": [5000.5, 5000.0], "semi_axes": [7071.06782070431, 0.353553390151332], "rotation": 0.7853981608974483, "foci": [[10000.5000125, 9999.9999875], [0.4999875000003158, 1.2500000593718141e-05]], "area": 7853.981633974483, "quad_area": 10000.0, "ratio": 0.7853981633974483, "bound_gap": 0.0}),
+    (RECT, {"id": "rect-1x2", "method": "closed-form", "parameter": 0.5, "parameter_kind": "pencil", "conic": [1.0, 0.25, 0.0, -1.0, -0.5, 0.25], "equation": "4x^2 + y^2 - 4x - 2y + 1 = 0", "center": [0.5, 1.0], "semi_axes": [1.0, 0.5], "rotation": 1.5707963267948966, "foci": [[0.5, 1.8660254037844386], [0.49999999999999994, 0.1339745962155614]], "area": 1.5707963267948966, "quad_area": 2.0, "ratio": 0.7853981633974483, "bound_gap": 0.0}),
+    (SQUARE, {"method": "closed-form", "parameter": 0.5, "parameter_kind": "pencil", "conic": [1.0, 1.0, 0.0, -1.0, -1.0, 0.25], "equation": "4x^2 + 4y^2 - 4x - 4y + 1 = 0", "center": [0.5, 0.5], "semi_axes": [0.5, 0.5], "rotation": 0.0, "foci": [[0.5, 0.5], [0.5, 0.5]], "area": 0.7853981633974483, "quad_area": 1.0, "ratio": 0.7853981633974483, "bound_gap": 0.0}),
+    (GENERIC, {"method": "closed-form", "parameter": 0.5485837703548635, "parameter_kind": "pencil", "conic": [1.0, 0.5452593887471201, -0.5331395201422103, -0.43050087404306026, -0.31788908312068026, 0.04633275063795982], "equation": "21.5830052443x^2 + 11.7683362468y^2 - 23.0135061183xy - 9.29150262213x - 6.86100174809y + 1 = 0", "center": [0.7742918851774317, 1.0485837703548637], "semi_axes": [1.2193495033082504, 0.4606979874984972], "rotation": 0.9869575298526985, "foci": [[1.3966143801641193, 1.9905419901111627], [0.15196939019074418, 0.10662555059856482]], "area": 1.7647955235265615, "quad_area": 2.5, "ratio": 0.7059182094106247, "bound_gap": 0.07947995398682361}),
+    (THIN, {"method": "closed-form", "parameter": 0.5, "parameter_kind": "pencil", "conic": [0.9999999900000002, 1.0, -0.9999999900000002, -0.9999999900000002, 0.9998999900010002, 0.24999999750000004], "equation": "4x^2 + 4.00000004y^2 - 8xy - 4x + 3.9996y + 1 = 0", "center": [5000.5, 5000.0], "semi_axes": [7071.06782070431, 0.353553390151332], "rotation": 0.7853981608974483, "foci": [[10000.5000125, 9999.9999875], [0.4999875000003158, 1.2500000593718141e-05]], "area": 7853.981633974483, "quad_area": 10000.0, "ratio": 0.7853981633974483, "bound_gap": 0.0}),
     (TRAPEZOID, {"method": "closed-form", "parameter": 0.5, "parameter_kind": "pencil", "conic": [0.125, 1.0, 0.0, -0.5, -1.0000000000000002, 0.5], "equation": "x^2 + 8y^2 - 4x - 8y + 4 = 0", "center": [2.0, 0.5], "semi_axes": [1.4142135623730951, 0.49999999999999994], "rotation": 0.0, "foci": [[3.3228756555322954, 0.5], [0.6771243444677046, 0.5]], "area": 2.2214414690791826, "quad_area": 3.0, "ratio": 0.7404804896930609, "bound_gap": 0.04491767370438737}),
 ]
 

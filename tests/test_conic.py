@@ -189,6 +189,39 @@ class TestLineTangency:
         assert res.point == pytest.approx((x0, y0), abs=1e-6)
 
 
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    def test_residual_is_dimensionless(self, k):
+        # Squared half-chord over the squared parallel half-diameter: the
+        # line x = R/2 cuts a circle of radius R with ratio 3/4 at any R.
+        r = 2.0**k
+        circle = ConicCoeffs(1.0, 1.0, 0.0, 0.0, 0.0, -r * r)
+        res = line_tangency(circle, Line(1.0, 0.0, -0.5 * r))
+        assert res.kind is TangencyKind.SECANT
+        assert res.residual == pytest.approx(0.75, rel=1e-15)
+
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    def test_member_sides_are_tangent_in_any_units(self, k):
+        # The residual used to be a squared length in input units: from a
+        # scale of about 1e3 true tangent sides read SECANT or DISJOINT, and
+        # at small scales sides moved off the member still read TANGENT.
+        from quadellipse.family import max_area_ellipse
+        from quadellipse.quad import validate
+
+        u = 2.0**k
+        q = validate(((0.0, 0.0), (u, 0.0), (2.0 * u, 3.0 * u), (0.0, u)))
+        member = max_area_ellipse(q)
+        for i, side in enumerate(q.sides()):
+            assert line_tangency(member.conic, side).kind is TangencyKind.TANGENT, i
+            n = math.hypot(side.a, side.b)
+            for shift in (-1e-6, 1e-6):
+                moved = Line(side.a, side.b, side.c + shift * q.diameter() * n)
+                assert line_tangency(member.conic, moved).kind is not TangencyKind.TANGENT, (i, shift)
+
+    def test_parabola_raises(self):
+        with pytest.raises(NotAnEllipse):
+            line_tangency(ConicCoeffs(1.0, 0.0, 0.0, 0.0, -1.0, 0.0), Line(0.0, 1.0, -1.0))
+
+
 class TestTransforms:
     def test_conic_transform_tracks_points(self):
         conic = geometry_to_conic(EllipseGeom(center=(1.0, -1.0), a=2.0, b=1.0, phi=0.4))

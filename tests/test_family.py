@@ -198,8 +198,10 @@ class TestParallelogramFamily:
                 mid = midpoint(corners[i], corners[(i + 1) % 4])
                 assert math.dist(p, mid) <= 1e-12 * q.diameter(), (k, i)
             assert check_foci_on_bestfit(frame) <= 1e-12 * q.diameter()
+            assert member.param_kind == "pencil"
+            assert member.parameter == pytest.approx(0.5, abs=1e-12)
             rows = family_areas(q, 5)
-            assert rows[2][0] == pytest.approx(0.5 * frame.k, rel=1e-15)
+            assert rows[2][0] == 0.5
             assert rows[2][1] == pytest.approx(ellipse_area(member.geom), rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
@@ -211,7 +213,8 @@ class TestParallelogramFamily:
         q = validate(tuple((x * scale, y * scale) for x, y in verts))
         frame = parallelogram_frame(q)
         member = midpoint_ellipse(frame)
-        assert (member.param_kind, member.parameter) == ("v", 0.5 * frame.k)
+        assert member.param_kind == "pencil"
+        assert member.parameter == pytest.approx(0.5, abs=1e-12)
         assert ellipse_area(member.geom) / quad_area(q) == pytest.approx(math.pi / 4.0, rel=1e-12)
         corners = frame.placed_corners()
         for i, p in enumerate(member.tangency):
@@ -220,7 +223,7 @@ class TestParallelogramFamily:
         assert check_foci_on_bestfit(frame) <= 1e-15 * q.diameter()
         assert marden_check(frame).min_distance > 0.1 * q.diameter()
         rows = family_areas(q, 5)
-        assert rows[2][0] == 0.5 * frame.k
+        assert rows[2][0] == 0.5
         for i, (_, area, _) in enumerate(rows):
             lam = (i + 1) / 6
             want = 0.5 * math.pi * math.sqrt(lam * (1.0 - lam)) * quad_area(q)
@@ -360,21 +363,34 @@ class TestEllipseAtCenter:
     def test_offset_and_thin_placements(self, aspect, diams):
         # Centres computed on the segment in input coordinates carry rounding
         # of about eps |centre|, which the frame map magnifies on thin quads:
-        # they are accepted, and centres 1e-6 diameters off the segment are not.
-        # (The member's centre is the nearest segment point in the frame's
-        # metric, not the input's, so it is not compared with the request.)
-        base = [(x + 0.3 * y, aspect * y) for x, y in GENERIC.vertices]
-        c, s = math.cos(0.7), math.sin(0.7)
-        off = diams * _diameter(base)
-        q = validate(tuple((c * x - s * y + 0.6 * off, s * x + c * y - 0.8 * off) for x, y in base))
+        # they are accepted, the member is centred on them, and centres 1e-6
+        # diameters off the segment are refused.
+        q = _placed_generic(aspect, diams)
         m1, m2 = diagonal_midpoints(q)
         dx, dy = m2[0] - m1[0], m2[1] - m1[1]
         step = 1e-6 * q.diameter() / math.hypot(dx, dy)
         for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
             center = (m1[0] + lam * dx, m1[1] + lam * dy)
-            assert ellipse_at_center(q, center).param_kind == "h"
+            member = ellipse_at_center(q, center)
+            assert math.dist(member.geom.center, center) <= 1e-9 * q.diameter(), lam
             with pytest.raises(CenterOffLocus):
                 ellipse_at_center(q, (center[0] - step * dy, center[1] + step * dx))
+
+    def test_coinciding_midpoints_are_refused(self):
+        # Not flagged as a parallelogram, but its diagonal midpoints round to
+        # the same point: there is no segment to place a center on.
+        q = validate(
+            (
+                (2.4411827222492732, 4.040574430826525),
+                (2.441180269028024, 4.0405767436122115),
+                (2.4411783374929885, 4.040578564561726),
+                (2.441180790714238, 4.04057625177604),
+            )
+        )
+        m1, m2 = diagonal_midpoints(q)
+        assert m1 == m2 and not q.is_parallelogram
+        with pytest.raises(CenterOffLocus):
+            ellipse_at_center(q, m1)
 
     @pytest.mark.parametrize("lam", [2e-12, 1.0 - 2e-12])
     def test_centers_next_to_the_segment_ends(self, lam):
@@ -485,16 +501,12 @@ class TestMaximalMember:
     def _check_tangency(base, scale, off):
         q = validate(tuple((scale * x + 0.6 * off, scale * y - 0.8 * off) for x, y in base))
         member = max_area_ellipse(q)
-        # line_tangency is the independent check. Its tangency test is a
-        # squared length, and the placed conic carries rounding of about
-        # eps off^2 / diameter, so it runs on the member of the same quad
-        # moved back exactly to the origin and scaled by a power of two to a
-        # diameter of at most 1.
-        unit = scale * 2.0 ** math.ceil(math.log2(_diameter(base)))
+        # line_tangency is the independent check. The placed conic carries
+        # rounding of about eps off^2 / diameter in its constant term, so it
+        # runs on the member of the same quad moved back exactly to the origin.
         back = validate(
             tuple(
-                (float((Fraction(x) - Fraction(0.6 * off)) / Fraction(unit)),
-                 float((Fraction(y) + Fraction(0.8 * off)) / Fraction(unit)))
+                (float(Fraction(x) - Fraction(0.6 * off)), float(Fraction(y) + Fraction(0.8 * off)))
                 for x, y in q.vertices
             )
         )
@@ -505,7 +517,7 @@ class TestMaximalMember:
             res = line_tangency(ref.conic, ref_side)
             assert res.kind is TangencyKind.TANGENT, (q.vertices, i)
             x, y = res.point
-            want = (unit * x + 0.6 * off, unit * y - 0.8 * off)
+            want = (x + 0.6 * off, y - 0.8 * off)
             assert distance(p, want) <= 1e-9 * q.diameter(), (q.vertices, i)
 
     def test_maximum_dominates_family(self):
@@ -524,9 +536,10 @@ class TestFamilyAreas:
             assert area > 0.0
             assert len(center) == 2
 
-    def test_parallelogram_sweep_in_v(self):
-        # Rows are labelled by v, the tangency height of the frame family,
-        # and sit on its closed form at that v, about the vertex centroid.
+    def test_parallelogram_sweep_in_lambda(self):
+        # Rows are labelled by the pencil position lam, as on every quad,
+        # and sit on the frame family's closed form at the tangency height
+        # v = lam k, about the vertex centroid.
         sheared = ((0.0, 0.0), (2.0, 0.0), (3.0, 1.0), (1.0, 1.0))
         rectangle = ((0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (0.0, 2.0))
         for verts in (sheared, rectangle):
@@ -537,10 +550,10 @@ class TestFamilyAreas:
             centroid = (sum(x for x, _ in verts) / 4.0, sum(y for _, y in verts) / 4.0)
             for i, (param, area, center) in enumerate(rows):
                 lam = (i + 1) / 12
-                assert param == pytest.approx(lam * frame.k, rel=1e-15)
+                assert param == lam
                 want = 0.5 * math.pi * math.sqrt(lam * (1.0 - lam)) * quad_area(q)
                 assert area == pytest.approx(want, rel=1e-12, abs=0.0), (verts, i)
-                ref = ellipse_area(parallelogram_family(frame.l, frame.k, frame.d, param).geom)
+                ref = ellipse_area(parallelogram_family(frame.l, frame.k, frame.d, lam * frame.k).geom)
                 assert area == pytest.approx(ref, rel=1e-12, abs=0.0), (verts, i)
                 assert math.dist(center, centroid) <= 1e-12 * q.diameter(), (verts, i)
 
@@ -558,6 +571,83 @@ class TestFamilyAreas:
 
 def _diameter(verts):
     return max(math.dist(p, q) for p in verts for q in verts)
+
+
+def _placed_generic(aspect, diams):
+    """GENERIC sheared, squashed to ``aspect``, turned and moved ``diams``
+    diameters off the origin."""
+    base = [(x + 0.3 * y, aspect * y) for x, y in GENERIC.vertices]
+    c, s = math.cos(0.7), math.sin(0.7)
+    off = diams * _diameter(base)
+    return validate(tuple((c * x - s * y + 0.6 * off, s * x + c * y - 0.8 * off) for x, y in base))
+
+
+class TestFamilyCoordinate:
+    """Every member built from a quad is labelled by its pencil position
+    lam in (0, 1), whatever the quad's flags, anchor or placement."""
+
+    @pytest.mark.parametrize(
+        "verts, flag",
+        [
+            (((0.0, 0.0), (4.0, 0.0), (3.0, 1.0), (1.0, 1.0)), "is_trapezoid"),
+            (((0.0, 0.0), (2.0, 0.0), (3.0, 1.5), (1.0, 1.5)), "is_parallelogram"),
+        ],
+        ids=["trapezoid", "parallelogram"],
+    )
+    def test_continuous_across_the_flags(self, verts, flag):
+        # The flag is set at a nudge of 1e-11 and cleared at 1e-9; the
+        # coordinate used to switch from lam to h or from v to h there.
+        want = max_area_ellipse(validate(verts)).parameter
+        flags = []
+        for nudge in (1e-11, 1e-9):
+            (x, y), rest = verts[2], verts[3:]
+            q = validate(verts[:2] + ((x, y + nudge),) + rest)
+            flags.append(getattr(q, flag))
+            member = max_area_ellipse(q)
+            assert member.param_kind == "pencil"
+            assert abs(member.parameter - want) <= 1e-8, nudge
+            for i, (param, _, _) in enumerate(family_areas(q, 5)):
+                assert abs(param - (i + 1) / 6) <= 1e-8, (nudge, i)
+        assert flags == [True, False]
+
+    def test_every_route_reports_lam(self):
+        rng = np.random.default_rng(23)
+        quads = [GENERIC, validate(THIN_TRAPEZOID), _placed_generic(1e-6, 1e6)]
+        quads += [validate(sample_parallelogram_vertices(rng)) for _ in range(10)]
+        quads += [sample_convex_quad(rng) for _ in range(10)]
+        for q in quads:
+            members = [max_area_ellipse(q), max_area_by_search(q)]
+            if q.is_parallelogram:
+                members.append(midpoint_ellipse(parallelogram_frame(q)))
+            else:
+                m1, m2 = diagonal_midpoints(q)
+                members.append(ellipse_at_center(q, midpoint(m1, m2)))
+            for member in members:
+                assert member.param_kind == "pencil", q.vertices
+                assert 0.0 < member.parameter < 1.0, q.vertices
+
+    def test_same_lam_for_affine_images(self):
+        # The canonical abscissa h depended on the anchor vertex and took
+        # four values over affine images of one quad; lam takes lam0 or
+        # 1 - lam0, as the images' vertex order swaps the diagonals' labels.
+        lam0 = max_area_ellipse(GENERIC).parameter
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            m = rng.normal(size=(2, 2))
+            if abs(np.linalg.det(m)) < 0.1:
+                continue
+            t = rng.normal(size=2)
+            q = validate(tuple((float(m[0] @ v + t[0]), float(m[1] @ v + t[1])) for v in np.array(GENERIC.vertices)))
+            lam = max_area_ellipse(q).parameter
+            assert min(abs(lam - lam0), abs(lam - (1.0 - lam0))) <= 1e-12, q.vertices
+
+    @pytest.mark.parametrize("aspect, diams", [(1.0, 0.0), (1e-6, 0.0), (1.0, 1e2)], ids=["generic", "thin", "offset"])
+    def test_rows_round_trip_through_ellipse_at_center(self, aspect, diams):
+        q = _placed_generic(aspect, diams)
+        for lam, area, center in family_areas(q, 9):
+            member = ellipse_at_center(q, center)
+            assert member.parameter == pytest.approx(lam, abs=1e-12), lam
+            assert ellipse_area(member.geom) == pytest.approx(area, rel=1e-9), lam
 
 
 class TestPlacementInvariance:
