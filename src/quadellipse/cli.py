@@ -10,25 +10,15 @@ candidate, 2 means bad input or usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 
-from .bestfit import best_fit_line
-from .conic import ConicCoeffs, ellipse_area, foci
+# Every command validates a document, so only errors and quad load up
+# front; each handler imports the rest of the library it runs.
 from .errors import DomainError, QuadEllipseError
-from .family import family_areas, max_area_ellipse
 from .quad import ConvexQuad, diagonal_midpoints, normalize, parallelogram_frame, quad_area, validate
-from .svgfig import Scene, render_svg
-from .verify import (
-    check_area_inequality,
-    check_foci_on_bestfit,
-    circumscribed_min_ratio,
-    conjecture_scan,
-    run_verification_suite,
-)
 
 _CSV_COLUMNS = ("param", "area", "center_x", "center_y")
 
@@ -104,7 +94,7 @@ def _emit_bytes(args, blob: bytes) -> None:
         sys.stdout.buffer.write(blob)
 
 
-def _equation(conic: ConicCoeffs) -> str:
+def _equation(conic) -> str:
     """Human-readable a x^2 + b y^2 + 2c xy + d x + e y + f = 0, rescaled
     so the smallest nonzero coefficient magnitude is 1."""
     raw = conic.as_tuple()
@@ -152,6 +142,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_max_ellipse(args) -> int:
+    from .conic import ellipse_area, foci
+    from .family import max_area_ellipse
+
     q, doc_id = _load_document(args.document)
     member = max_area_ellipse(q)
     conic = member.conic.canonical()
@@ -184,6 +177,10 @@ def _cmd_max_ellipse(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    import csv
+
+    from .family import family_areas
+
     q, _ = _load_document(args.document)
     rows = family_areas(q, args.samples)
     fmt = args.fmt or "csv"
@@ -206,6 +203,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_bestfit(args) -> int:
+    from .bestfit import best_fit_line
+
     q, doc_id = _load_document(args.document)
     fit = best_fit_line(q.vertices)
     payload: dict = {}
@@ -234,6 +233,8 @@ def _cmd_bestfit(args) -> int:
 def _cmd_verify(args) -> int:
     if args.document:
         return _verify_document(args)
+    from .verify import run_verification_suite
+
     outcomes = run_verification_suite(samples=args.samples, seed=args.seed)
     payload = {
         "samples": args.samples,
@@ -248,6 +249,9 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_document(args) -> int:
+    from .bestfit import best_fit_line
+    from .verify import check_area_inequality, check_foci_on_bestfit, circumscribed_min_ratio
+
     q, doc_id = _load_document(args.document)
     tol = args.tol
     report = check_area_inequality(q)
@@ -308,6 +312,8 @@ def _verify_document(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from .verify import conjecture_scan
+
     candidate_path = f"{args.out}.candidates.jsonl" if args.out else None
     report = conjecture_scan(args.samples, args.seed, candidate_path)
     payload = {
@@ -328,6 +334,11 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .bestfit import best_fit_line
+    from .conic import foci
+    from .family import max_area_ellipse
+    from .svgfig import Scene, render_svg
+
     q, _ = _load_document(args.document)
     member = max_area_ellipse(q)
     fit = best_fit_line(q.vertices)

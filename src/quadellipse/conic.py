@@ -149,35 +149,55 @@ def _sign_normalized_quad(coeffs: ConicCoeffs) -> tuple[float, float, float, flo
     return coeffs.as_tuple()
 
 
+def _eigenframe(
+    a: float, b: float, c: float, d: float, e: float, f: float
+) -> tuple[float, float, float, float]:
+    """(lam_max, lam_min, fc, fc_terms) of a central conic whose quadratic
+    part has positive trace.
+
+    lam_max >= lam_min are the quadratic part's eigenvalues. fc, the value
+    at the center, is summed in their eigenframe as
+    f - du^2 / (4 lam_max) - dv^2 / (4 lam_min), with (du, dv) the linear
+    part rotated into it; fc_terms is the sum of the magnitudes of those
+    three terms. A thin ellipse keeps its digits there, where
+    f + (d*cx + e*cy) / 2 at a Cramer's-rule center cancels to nothing.
+    """
+    lam_max = 0.5 * (a + b + math.hypot(a - b, 2.0 * c))
+    lam_min = (a * b - c * c) / lam_max
+    phi = 0.5 * math.atan2(2.0 * c, a - b)
+    cp, sp = math.cos(phi), math.sin(phi)
+    du, dv = d * cp + e * sp, e * cp - d * sp
+    tu, tv = du * du / (4.0 * lam_max), dv * dv / (4.0 * lam_min)
+    return lam_max, lam_min, f - tu - tv, abs(f) + tu + abs(tv)
+
+
 def classify_conic(coeffs: ConicCoeffs) -> ConicKind:
     """Classify by the sign of a*b - c^2 and the value at the center.
 
     A central conic (a*b - c^2 clear of zero) is degenerate when its value
-    at the center, fc = det3 / (a*b - c^2), vanishes to within
-    DEGENERACY_RTOL of the terms summed to form it, or when it has no real
-    points. That test does not depend on the conic's size or placement, so
-    a thin ellipse stays an ellipse. A non-central conic is degenerate when
-    its 3x3 determinant is below DEGENERACY_RTOL of the cubed coefficient
+    at the center, fc from _eigenframe, vanishes to within DEGENERACY_RTOL
+    of the terms summed to form it, or when it has no real points. That
+    test does not depend on the conic's size or placement, so a thin
+    ellipse stays an ellipse. A non-central conic is degenerate when its
+    3x3 determinant is below DEGENERACY_RTOL of the cubed coefficient
     scale, and a parabola otherwise.
     """
-    a, b, c, d, e, f = coeffs.as_tuple()
-    det2 = coeffs.det2()
+    a, b, c, d, e, f = _sign_normalized_quad(coeffs)
+    det2 = a * b - c * c
     qscale = max(abs(a), abs(b), abs(c))
     if abs(det2) < DEGENERACY_RTOL * qscale * qscale:
         scale = coeffs.max_abs()
         if abs(coeffs.det3()) < DEGENERACY_RTOL * scale * scale * scale:
             return ConicKind.DEGENERATE
         return ConicKind.PARABOLA
-    cx = (c * e - b * d) / (2.0 * det2)
-    cy = (c * d - a * e) / (2.0 * det2)
-    fc = f + 0.5 * (d * cx + e * cy)
-    if abs(fc) <= DEGENERACY_RTOL * (abs(f) + 0.5 * (abs(d * cx) + abs(e * cy))):
+    _, _, fc, fc_terms = _eigenframe(a, b, c, d, e, f)
+    if abs(fc) <= DEGENERACY_RTOL * fc_terms:
         return ConicKind.DEGENERATE
     if det2 < 0.0:
         return ConicKind.HYPERBOLA
-    # det2 > 0: a real ellipse needs the center value and the quadratic
-    # trace on opposite signs; otherwise the point set is empty.
-    if (a + b) * fc < 0.0:
+    # det2 > 0 and the quadratic trace is positive: a real ellipse needs a
+    # negative center value; otherwise the point set is empty.
+    if fc < 0.0:
         return ConicKind.ELLIPSE
     return ConicKind.DEGENERATE
 
@@ -221,8 +241,9 @@ def conic_to_ellipse(coeffs: ConicCoeffs) -> EllipseGeom:
     """Recover center, semi-axes, and axis angle of a real ellipse.
 
     The center solves the vanishing-gradient system; semi-axes come from the
-    eigenvalues of the quadratic part, and the axis angle from the eigenvector
-    of the smaller eigenvalue. The angle agrees with rotation_angle up to
+    eigenvalues of the quadratic part and the value at the center, both from
+    _eigenframe, and the axis angle from the eigenvector of the smaller
+    eigenvalue. The angle agrees with rotation_angle up to
     floating-point error.
     """
     if classify_conic(coeffs) is not ConicKind.ELLIPSE:
@@ -234,16 +255,14 @@ def conic_to_ellipse(coeffs: ConicCoeffs) -> EllipseGeom:
         raise SingularCenterSystem("quadratic part is singular; no unique center")
     cx = (c * e - b * d) / (2.0 * det2)
     cy = (c * d - a * e) / (2.0 * det2)
-    # Value at the center; the gradient vanishes there, so the quadratic part
-    # contributes -(d*cx + e*cy)/2.
-    fc = f + 0.5 * (d * cx + e * cy)
     tr = a + b
     disc = math.hypot(a - b, 2.0 * c)
-    # tr - disc cancels badly for thin ellipses; recover the small eigenvalue
-    # from the exact product lam_min * lam_max = det2 instead. For a circle
-    # that quotient can round above lam_max, which would swap the axes.
-    lam_max = 0.5 * (tr + disc)
-    lam_min = min(det2 / lam_max, lam_max)
+    # tr - disc cancels badly for thin ellipses, so _eigenframe recovers the
+    # small eigenvalue from the exact product lam_min * lam_max = det2. For
+    # a circle that quotient can round above lam_max, which would swap the
+    # axes.
+    lam_max, lam_min, fc, _ = _eigenframe(a, b, c, d, e, f)
+    lam_min = min(lam_min, lam_max)
     if fc >= 0.0 or lam_min <= 0.0:
         raise NotAnEllipse("coefficients describe an ellipse with no real points")
     major = math.sqrt(-fc / lam_min)
@@ -295,21 +314,14 @@ def line_tangency(coeffs: ConicCoeffs, line: Line) -> TangencyResult:
     Restricted to a unit-speed parameterization of the line, the conic is
     q(t) = qa*t^2 + qb*t + qc, with roots 2w apart, w^2 = disc / (4 qa^2).
     The residual is |w^2| over the squared major semi-axis -fc / lam_min, so
-    it has no unit. fc, the value at the center, is summed in the quadratic
-    part's eigenframe, where a thin ellipse keeps its digits (det3 / det2
-    cancels to nothing there). Residual below TANGENCY_TOL counts as
-    tangent; det2 = 0, fc = 0 or qa = 0 raises NotAnEllipse.
+    it has no unit; fc, the value at the center, comes from _eigenframe.
+    Residual below TANGENCY_TOL counts as tangent; det2 = 0, fc = 0 or
+    qa = 0 raises NotAnEllipse.
     """
     a, b, c, d, e, f = _sign_normalized_quad(coeffs)
-    det2 = a * b - c * c
-    if det2 == 0.0:
+    if a * b - c * c == 0.0:
         raise NotAnEllipse("conic has no center; it is not an ellipse")
-    lam_max = 0.5 * (a + b + math.hypot(a - b, 2.0 * c))
-    lam_min = det2 / lam_max
-    phi = 0.5 * math.atan2(2.0 * c, a - b)
-    cp, sp = math.cos(phi), math.sin(phi)
-    du, dv = d * cp + e * sp, e * cp - d * sp
-    fc = f - du * du / (4.0 * lam_max) - dv * dv / (4.0 * lam_min)
+    _, lam_min, fc, _ = _eigenframe(a, b, c, d, e, f)
     n = math.hypot(line.a, line.b)
     dx, dy = line.b / n, -line.a / n
     x0 = -line.a * line.c / (n * n)

@@ -11,11 +11,13 @@ refused because one of s, t degenerates to 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import (
     CanonicalFormViolated,
     DegenerateVertices,
+    DomainError,
     IsTrapezoid,
     NotConvex,
     NotParallelogram,
@@ -31,6 +33,13 @@ PITOT_RTOL = 1e-9
 
 _COINCIDENT_RTOL = 1e-12
 _COLLINEAR_RTOL = 1e-12
+
+# The area, the convexity test and the diagonal frame multiply coordinate
+# differences in pairs and sum a few such products. Diameters in this range
+# keep those sums finite and clear of the subnormal floats.
+_MIN_NORMAL = sys.float_info.min
+_MAX_DIAMETER = math.sqrt(sys.float_info.max) / 4.0
+_MIN_DIAMETER = math.sqrt(_MIN_NORMAL) * 4.0
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,11 @@ def validate(points) -> ConvexQuad:
     Vertices are reordered counterclockwise (angular sort about the
     centroid) starting from the lexicographically smallest. Coincident or
     collinear triples raise DegenerateVertices; a point set that is not in
-    convex position raises NotConvex. The six vertex distances and the four
-    side lengths are each computed once and shared by every test using them.
+    convex position raises NotConvex. A diameter outside [_MIN_DIAMETER,
+    _MAX_DIAMETER], or a vertex triangle whose doubled area is subnormal,
+    raises DomainError: products of coordinate differences would leave the
+    normal float range. The six vertex distances and the four side lengths
+    are each computed once and shared by every test using them.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     if len(pts) != 4:
@@ -114,6 +126,11 @@ def validate(points) -> ConvexQuad:
     diam = max(gaps)
     if diam == 0.0:
         raise DegenerateVertices("all vertices coincide")
+    if not _MIN_DIAMETER <= diam <= _MAX_DIAMETER:
+        raise DomainError(
+            f"diameter {diam:.3g} is outside [{_MIN_DIAMETER:.3g}, {_MAX_DIAMETER:.3g}]: "
+            "products of coordinate differences would leave the normal float range"
+        )
     for (i, j), gap in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), gaps):
         if gap < _COINCIDENT_RTOL * diam:
             raise DegenerateVertices(f"vertices {i} and {j} coincide")
@@ -130,8 +147,13 @@ def validate(points) -> ConvexQuad:
         z = ux * wy - uy * wx
         if abs(z) <= _COLLINEAR_RTOL * lengths[i] * lengths[i - 3]:
             raise DegenerateVertices("three vertices are collinear")
-        if z < 0.0:
-            raise NotConvex("vertices are not in convex position")
+        if z < _MIN_NORMAL:
+            if z < 0.0:
+                raise NotConvex("vertices are not in convex position")
+            raise DomainError(
+                f"the triangle at vertex {(i + 1) % 4} has doubled area {z:.3g}, "
+                "below the normal float range"
+            )
     e0, e1, e2, e3 = edges
     l0, l1, l2, l3 = lengths
     para02 = abs(cross2(e0, e2)) < PARALLEL_RTOL * l0 * l2

@@ -91,6 +91,13 @@ class TestAnalyze:
         assert run(["analyze", str(path)]) == 2
         assert "DomainError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e154, 1e-154, 1e300, 1e-300])
+    def test_scale_outside_the_float_range_exits_two(self, doc, capsys, scale):
+        huge = {"vertices": [[x * scale, y * scale] for x, y in GENERIC["vertices"]]}
+        for command in ("analyze", "max-ellipse", "verify"):
+            assert run([command, doc(huge)]) == 2
+            assert "DomainError" in capsys.readouterr().err
+
     def test_document_not_utf8_exits_two(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         text = '{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "id": "caf\u00e9"}'
@@ -343,3 +350,59 @@ class TestImportCost:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "command, loaded",
+        [
+            ("analyze", set()),
+            ("bestfit", {"bestfit"}),
+            ("max-ellipse", {"conic", "family"}),
+            ("family", {"conic", "family"}),
+            ("render", {"conic", "family", "bestfit", "svgfig"}),
+            ("verify", {"conic", "family", "bestfit", "verify"}),
+        ],
+    )
+    def test_each_document_command_loads_only_what_it_runs(self, doc, command, loaded):
+        # Every command validates its document, so cli, errors, geom and
+        # quad always load; the handler adds the modules it calls.
+        modules = _fresh_modules(_ONE_COMMAND_SCRIPT, command, doc(GENERIC))
+        assert modules == {"cli", "errors", "geom", "quad"} | loaded
+        assert "numpy" not in modules
+
+    def test_bare_package_import_loads_no_submodule(self):
+        assert _fresh_modules("import quadellipse") == set()
+
+
+# Runs the command given as arguments, with stdout redirected.
+_ONE_COMMAND_SCRIPT = """
+import io, sys
+from quadellipse import cli
+stdout, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+try:
+    code = cli.run(sys.argv[1:])
+finally:
+    sys.stdout = stdout
+assert code == 0, code
+"""
+
+# Prints the loaded package submodules, and numpy if loaded, as JSON.
+_PRINT_MODULES = """
+import json, sys
+prefix = "quadellipse."
+names = [m[len(prefix):] for m in sys.modules if m.startswith(prefix)]
+print(json.dumps(names + (["numpy"] if "numpy" in sys.modules else [])))
+"""
+
+
+def _fresh_modules(script: str, *argv: str) -> set[str]:
+    """Submodules of the package loaded by ``script`` in a new interpreter
+    that imports the package from this checkout's src."""
+    result = subprocess.run(
+        [sys.executable, "-c", script + "\n" + _PRINT_MODULES, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))

@@ -19,8 +19,10 @@ from quadellipse.conic import (
     proportional,
     rotation_angle,
 )
-from quadellipse.errors import NotAnEllipse
+from quadellipse.errors import NotAnEllipse, QuadEllipseError
+from quadellipse.family import ellipse_at_center
 from quadellipse.geom import AffineMap, Line
+from quadellipse.quad import diagonal_midpoints, validate
 
 UNIT_CIRCLE = ConicCoeffs(1.0, 1.0, 0.0, 0.0, 0.0, -1.0)
 
@@ -60,6 +62,40 @@ class TestClassify:
     def test_all_zero_quadratic_part_rejected(self):
         with pytest.raises(ValueError):
             ConicCoeffs(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+
+
+class TestThinMembers:
+    """Members of one quad near the ends of its family, aspect 1.2e-7 to
+    4e-4. At a Cramer's-rule centre the value there cancels to noise:
+    members with aspect 1.3e-5 were refused and those with 8e-5 read 2%
+    long. Summed in the eigenframe it keeps the digits the coefficients
+    carry."""
+
+    QUAD = validate(((0.238, 0.301), (0.941, 0.507), (0.978, 0.521), (0.431, 0.72)))
+
+    def member(self, lam):
+        m1, m2 = diagonal_midpoints(self.QUAD)
+        return ellipse_at_center(
+            self.QUAD, (m1[0] + lam * (m2[0] - m1[0]), m1[1] + lam * (m2[1] - m1[1]))
+        )
+
+    @pytest.mark.parametrize(
+        "lam, rtol", [(1e-9, 1e-4), (1e-6, 1e-7), (1.0 - 1e-6, 1e-7), (1.0 - 1e-9, 1e-4)]
+    )
+    def test_recovers_the_member(self, lam, rtol):
+        member = self.member(lam)
+        assert classify_conic(member.conic) is ConicKind.ELLIPSE
+        geom = conic_to_ellipse(member.conic)
+        assert geom.a == pytest.approx(member.geom.a, rel=rtol)
+        assert geom.b == pytest.approx(member.geom.b, rel=rtol)
+        assert geom.center == pytest.approx(member.geom.center, abs=rtol)
+
+    @pytest.mark.parametrize("lam", [2e-12, 1.0 - 2e-12])
+    def test_thinner_members_are_refused(self, lam):
+        # Their centre value is below DEGENERACY_RTOL of its terms; summed
+        # anyway it would put the semi-axes ~0.2% off.
+        with pytest.raises(QuadEllipseError):
+            conic_to_ellipse(self.member(lam).conic)
 
 
 class TestRotationAngle:

@@ -7,6 +7,7 @@ import pytest
 from quadellipse.errors import (
     CanonicalFormViolated,
     DegenerateVertices,
+    DomainError,
     IsTrapezoid,
     NotConvex,
     NotParallelogram,
@@ -23,7 +24,8 @@ from quadellipse.quad import (
     quad_area,
     validate,
 )
-from quadellipse.verify import scan_sample_vertices
+from quadellipse.family import max_area_ellipse
+from quadellipse.verify import circumscribed_min_ratio, scan_sample_vertices
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 KITE = ((0.0, 0.0), (2.0, -1.0), (4.0, 0.0), (2.0, 3.0))
@@ -89,6 +91,41 @@ class TestValidate:
         q = validate(GENERIC)
         edges = q.side_vectors()
         assert all(cross2(edges[i], edges[(i + 1) % 4]) > 0.0 for i in range(4))
+
+
+class TestFloatRange:
+    """Scales at which the area and the diagonal frame, products of
+    coordinate differences, leave the normal float range are refused with a
+    DomainError; below them the answer does not depend on the scale."""
+
+    BASE = ((0.0, 0.0), (1.3, 0.1), (1.1, 0.9), (0.2, 1.0))
+
+    def scaled(self, s):
+        return [(x * s, y * s) for x, y in self.BASE]
+
+    @pytest.mark.parametrize("s", [1e150, 1e-150])
+    def test_wide_scales_match_unit_scale(self, s):
+        def ratios(points):
+            q = validate(points)
+            member = max_area_ellipse(q)
+            return (
+                math.pi * member.geom.a * member.geom.b / quad_area(q),
+                circumscribed_min_ratio(q),
+            )
+
+        assert ratios(self.scaled(s)) == pytest.approx(ratios(self.BASE), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("exponent", [154, 155, 160, 200, 250, 300])
+    def test_extreme_scales_are_refused(self, exponent):
+        for s in (10.0**exponent, 10.0**-exponent):
+            with pytest.raises(DomainError, match="normal float range"):
+                validate(self.scaled(s))
+
+    def test_subnormal_triangle_is_refused(self):
+        # The diameter is in range, but one vertex triangle's doubled area
+        # is 1e-310.
+        with pytest.raises(DomainError, match="normal float range"):
+            validate(((0.0, 0.0), (1e-150, -1e-160), (2e-150, 0.0), (1e-150, 1e-150)))
 
 
 def reference_validate(points) -> ConvexQuad:
