@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateLine, EmptyInput, ParameterOutOfRange, ZeroImaginaryPart
 from .geom import Line
@@ -36,8 +35,7 @@ def _as_complex(p) -> complex:
     return complex(p)
 
 
-@dataclass(frozen=True)
-class BestFitResult:
+class BestFitResult(NamedTuple):
     """Orthogonal least-squares fit of a line to a point set.
 
     ``moment`` is Z = sum (z - g)^2 and ``spread`` is sum |z - g|^2;
@@ -123,8 +121,7 @@ def sum_sq_dist(points: Iterable, line: Line) -> float:
     return acc / n2
 
 
-@dataclass(frozen=True)
-class SlopeIdentityReport:
+class SlopeIdentityReport(NamedTuple):
     """Three closed forms of the best-fit slope for a sheared frame.
 
     The frame has corners (0,0), (l,0), (d+l,k), (d,k) with d > 0; its

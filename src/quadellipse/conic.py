@@ -14,8 +14,8 @@ angle), foci, line/conic tangency, and pushforward under affine maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NotAnEllipse, SingularCenterSystem
 from .geom import AffineMap, Line, Point
@@ -43,20 +43,21 @@ class TangencyKind(Enum):
     DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class ConicCoeffs:
+_ConicCoeffs = NamedTuple("_ConicCoeffs", [(name, float) for name in "abcdef"])
+
+
+class ConicCoeffs(_ConicCoeffs):
     """Coefficients of a*x^2 + b*y^2 + 2c*x*y + d*x + e*y + f = 0."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
+    def __new__(cls, a: float, b: float, c: float, d: float, e: float, f: float) -> "ConicCoeffs":
+        if a == 0.0 and b == 0.0 and c == 0.0:
             raise ValueError("quadratic part must not vanish identically")
+        return tuple.__new__(cls, (a, b, c, d, e, f))
+
+    # _replace copies through _make, which would skip the check above.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def evaluate(self, x: float, y: float) -> float:
         return (
@@ -104,20 +105,23 @@ class ConicCoeffs:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
 
 
-@dataclass(frozen=True)
-class EllipseGeom:
+_EllipseGeom = NamedTuple(
+    "_EllipseGeom", [("center", Point), ("a", float), ("b", float), ("phi", float)]
+)
+
+
+class EllipseGeom(_EllipseGeom):
     """Ellipse as center, semi-axes a >= b > 0, and major-axis angle in [0, pi)."""
 
-    center: Point
-    a: float
-    b: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.a >= self.b > 0.0):
+    def __new__(cls, center: Point, a: float, b: float, phi: float) -> "EllipseGeom":
+        if not (a >= b > 0.0):
             raise ValueError("semi-axes must satisfy a >= b > 0")
-        phi = self.phi % math.pi
-        object.__setattr__(self, "phi", phi)
+        return tuple.__new__(cls, (center, a, b, phi % math.pi))
+
+    # _replace copies through _make, which would skip the checks above.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def boundary_point(self, theta: float) -> Point:
         """Point at eccentric angle theta."""
@@ -127,8 +131,7 @@ class EllipseGeom:
         return (self.center[0] + u * cp - v * sp, self.center[1] + u * sp + v * cp)
 
 
-@dataclass(frozen=True)
-class TangencyResult:
+class TangencyResult(NamedTuple):
     """Outcome of restricting a conic to a line.
 
     ``residual`` is the squared ratio of the half-chord the conic cuts from

@@ -35,7 +35,7 @@ cy l1 + l2, nonzero as c lies strictly inside. The frame sides are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .conic import ConicCoeffs, EllipseGeom, conic_to_ellipse, conic_transform
 from .errors import CenterOffLocus, IsParallelogram, ParameterOutOfRange
@@ -53,8 +53,7 @@ _LAM_EDGE = 1e-12
 _EPS = 2.0**-52
 
 
-@dataclass(frozen=True)
-class CenterLocus:
+class CenterLocus(NamedTuple):
     """Open segment of admissible inscribed-ellipse centers, canonical frame.
 
     The segment joins the diagonal midpoints m1 = (1/2, 1/2) and
@@ -75,8 +74,7 @@ class CenterLocus:
         return (lo, hi) if lo <= hi else (hi, lo)
 
 
-@dataclass(frozen=True)
-class InscribedMember:
+class InscribedMember(NamedTuple):
     """One inscribed ellipse of a quadrilateral family.
 
     ``parameter`` is the family coordinate named by ``param_kind``:
@@ -191,7 +189,7 @@ def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
     q = validate(corners)
     member = max_area_ellipse(q)
     i = q.vertices.index(corners[0])
-    return replace(member, tangency=member.tangency[i:] + member.tangency[:i])
+    return member._replace(tangency=member.tangency[i:] + member.tangency[:i])
 
 
 def locus_line(s: float, t: float) -> CenterLocus:

@@ -7,7 +7,7 @@ Points are plain ``(x, y)`` tuples of floats, lines are implicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateLine
 
@@ -34,19 +34,23 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-@dataclass(frozen=True)
-class Line:
+_Line = NamedTuple("_Line", [("a", float), ("b", float), ("c", float)])
+
+
+class Line(_Line):
     """Implicit line ``a*x + b*y + c = 0`` with a nonzero normal ``(a, b)``."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
+    def __new__(cls, a: float, b: float, c: float) -> "Line":
+        if not all(math.isfinite(v) for v in (a, b, c)):
             raise DegenerateLine("line coefficients must be finite")
-        if self.a == 0.0 and self.b == 0.0:
+        if a == 0.0 and b == 0.0:
             raise DegenerateLine("line normal (a, b) must be nonzero")
+        return tuple.__new__(cls, (a, b, c))
+
+    # _replace copies through _make, which would skip the checks above.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def through(cls, p: Point, q: Point) -> "Line":
@@ -80,8 +84,7 @@ class Line:
         return (-self.a * self.c / n2, -self.b * self.c / n2)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """Affine map ``(x, y) -> (m00*x + m01*y + tx, m10*x + m11*y + ty)``."""
 
     m00: float

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     CanonicalFormViolated,
@@ -42,8 +42,7 @@ _MAX_DIAMETER = math.sqrt(sys.float_info.max) / 4.0
 _MIN_DIAMETER = math.sqrt(_MIN_NORMAL) * 4.0
 
 
-@dataclass(frozen=True)
-class ConvexQuad:
+class ConvexQuad(NamedTuple):
     """A strictly convex quadrilateral.
 
     Vertices are ordered counterclockwise starting from the lexicographically
@@ -69,8 +68,7 @@ class ConvexQuad:
         return max(distance(v[i], v[j]) for i in range(4) for j in range(i + 1, 4))
 
 
-@dataclass(frozen=True)
-class NormalizedQuad:
+class NormalizedQuad(NamedTuple):
     """Canonical (s, t) form together with the maps between frames.
 
     to_canonical sends the anchored quad onto (0,0), (1,0), (s,t), (0,1);
@@ -83,8 +81,7 @@ class NormalizedQuad:
     from_canonical: AffineMap
 
 
-@dataclass(frozen=True)
-class ParallelogramFrame:
+class ParallelogramFrame(NamedTuple):
     """Parallelogram with vertices (0,0), (l,0), (d+l,k), (d,k), l,k > 0,
     d >= 0, plus the rigid placement mapping the frame onto the input."""
 
@@ -305,4 +302,4 @@ def parallelogram_frame(q: ConvexQuad) -> ParallelogramFrame:
     # An exact parallelogram has a base with d >= 0. Within the flag's
     # tolerance both shears can come out slightly negative: take the larger
     # and snap it to 0.
-    return replace(max(frames, key=lambda f: f.d), d=0.0)
+    return max(frames, key=lambda f: f.d)._replace(d=0.0)

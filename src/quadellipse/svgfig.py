@@ -8,7 +8,7 @@ counterclockwise on screen, and the viewBox pads the content box by 5%.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .conic import EllipseGeom
 from .errors import DomainError, EmptyScene
@@ -21,14 +21,13 @@ _POINT_STYLE = 'fill="#dc2626"'
 _POINT_RADIUS = 3.0
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     """Drawable primitives in math coordinates (y up)."""
 
-    quads: tuple[tuple[Point, Point, Point, Point], ...] = field(default=())
-    ellipses: tuple[EllipseGeom, ...] = field(default=())
-    lines: tuple[Line, ...] = field(default=())
-    points: tuple[Point, ...] = field(default=())
+    quads: tuple[tuple[Point, Point, Point, Point], ...] = ()
+    ellipses: tuple[EllipseGeom, ...] = ()
+    lines: tuple[Line, ...] = ()
+    points: tuple[Point, ...] = ()
 
     def is_empty(self) -> bool:
         return not (self.quads or self.ellipses or self.lines or self.points)

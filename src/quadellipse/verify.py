@@ -32,6 +32,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bestfit import best_fit_line, slope_identities
 from .conic import ellipse_area, foci
@@ -82,8 +83,7 @@ _SCAN_BIN_WIDTH = 0.1
 _SCAN_BINS = 16
 
 
-@dataclass(frozen=True)
-class ProofVars:
+class ProofVars(NamedTuple):
     """Substitution variables behind the area-ratio bound.
 
     u = s + t - 1 and v = s*t; w is u/v when u < v (case 1) and v/u when
@@ -242,8 +242,7 @@ def check_ratio_formula(s: float, t: float) -> float:
     return direct
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Maximal inscribed-area ratio of one quad against the pi/4 bound."""
 
     ratio: float
@@ -313,8 +312,7 @@ def check_foci_on_bestfit(frame: ParallelogramFrame) -> float:
     return max(line.distance_to(f1), line.distance_to(f2))
 
 
-@dataclass(frozen=True)
-class MardenReport:
+class MardenReport(NamedTuple):
     """Foci of the maximal inscribed ellipse versus the roots of the second
     derivative of the vertex polynomial prod (x - z_j).
 
@@ -395,6 +393,8 @@ def circumscribed_min_ratio(q: ConvexQuad) -> float:
     return best
 
 
+# A frozen dataclass, unlike the other records: perfbench's tests copy it
+# with dataclasses.replace.
 @dataclass(frozen=True)
 class ConjectureReport:
     """Outcome of a seeded circumscribed-ratio scan.
@@ -588,8 +588,7 @@ def conjecture_scan(n: int, seed: int, candidate_path: str | None = None) -> Con
     )
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     passed: bool
     detail: str

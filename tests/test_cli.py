@@ -359,12 +359,14 @@ class TestImportCost:
             ("max-ellipse", {"conic", "family"}),
             ("family", {"conic", "family"}),
             ("render", {"conic", "family", "bestfit", "svgfig"}),
-            ("verify", {"conic", "family", "bestfit", "verify"}),
+            ("verify", {"conic", "family", "bestfit", "verify", "dataclasses"}),
         ],
     )
     def test_each_document_command_loads_only_what_it_runs(self, doc, command, loaded):
         # Every command validates its document, so cli, errors, geom and
-        # quad always load; the handler adds the modules it calls.
+        # quad always load; the handler adds the modules it calls. Results
+        # are named tuples, so only verify's ConjectureReport, still a
+        # dataclass, loads dataclasses.
         modules = _fresh_modules(_ONE_COMMAND_SCRIPT, command, doc(GENERIC))
         assert modules == {"cli", "errors", "geom", "quad"} | loaded
         assert "numpy" not in modules
@@ -385,12 +387,13 @@ finally:
 assert code == 0, code
 """
 
-# Prints the loaded package submodules, and numpy if loaded, as JSON.
+# Prints the loaded package submodules, and numpy and dataclasses if
+# loaded, as JSON.
 _PRINT_MODULES = """
 import json, sys
 prefix = "quadellipse."
 names = [m[len(prefix):] for m in sys.modules if m.startswith(prefix)]
-print(json.dumps(names + (["numpy"] if "numpy" in sys.modules else [])))
+print(json.dumps(names + [m for m in ("numpy", "dataclasses") if m in sys.modules]))
 """
 
 

@@ -30,8 +30,7 @@ class TestSceneValidation:
             render_svg(Scene(quads=(bad,)))
 
     def test_nonfinite_ellipse_rejected(self):
-        geom = EllipseGeom(center=(0.0, 0.0), a=1.0, b=0.5, phi=0.0)
-        object.__setattr__(geom, "phi", math.nan)
+        geom = EllipseGeom(center=(0.0, 0.0), a=1.0, b=0.5, phi=math.nan)
         with pytest.raises(DomainError):
             render_svg(Scene(ellipses=(geom,)))
 
