@@ -22,18 +22,6 @@ from .quad import ConvexQuad, diagonal_midpoints, normalize, parallelogram_frame
 
 _CSV_COLUMNS = ("param", "area", "center_x", "center_y")
 
-# Natural output format per subcommand; --format may narrow but not bend
-# a report into a shape that loses information.
-_FORMATS = {
-    "analyze": ("json",),
-    "max-ellipse": ("json",),
-    "family": ("csv", "json"),
-    "bestfit": ("json",),
-    "verify": ("json",),
-    "conjecture": ("json",),
-    "render": ("svg",),
-}
-
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
@@ -86,6 +74,12 @@ def _emit_text(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(args, doc_id: str | None, fields: dict) -> None:
+    """Write a document's report as JSON, led by the document's id if it has one."""
+    payload = fields if doc_id is None else {"id": doc_id, **fields}
+    _emit_text(args, _dump_json(payload))
+
+
 def _emit_bytes(args, blob: bytes) -> None:
     if args.out:
         with open(args.out, "wb") as fh:
@@ -119,25 +113,20 @@ def _equation(conic) -> str:
 def _cmd_analyze(args) -> int:
     q, doc_id = _load_document(args.document)
     m1, m2 = diagonal_midpoints(q)
-    payload: dict = {}
-    if doc_id is not None:
-        payload["id"] = doc_id
-    payload.update(
-        {
-            "vertices": [_pair(v) for v in q.vertices],
-            "is_parallelogram": q.is_parallelogram,
-            "is_trapezoid": q.is_trapezoid,
-            "is_tangential": q.is_tangential,
-            "area": quad_area(q),
-            "diagonal_midpoints": [_pair(m1), _pair(m2)],
-        }
-    )
+    fields = {
+        "vertices": [_pair(v) for v in q.vertices],
+        "is_parallelogram": q.is_parallelogram,
+        "is_trapezoid": q.is_trapezoid,
+        "is_tangential": q.is_tangential,
+        "area": quad_area(q),
+        "diagonal_midpoints": [_pair(m1), _pair(m2)],
+    }
     if q.is_trapezoid:
-        payload["canonical"] = None
+        fields["canonical"] = None
     else:
         nq = normalize(q)
-        payload["canonical"] = {"s": nq.s, "t": nq.t}
-    _emit_text(args, _dump_json(payload))
+        fields["canonical"] = {"s": nq.s, "t": nq.t}
+    _emit_report(args, doc_id, fields)
     return 0
 
 
@@ -151,28 +140,23 @@ def _cmd_max_ellipse(args) -> int:
     area = ellipse_area(member.geom)
     ratio = area / quad_area(q)
     f1, f2 = foci(member.geom)
-    payload: dict = {}
-    if doc_id is not None:
-        payload["id"] = doc_id
-    payload.update(
-        {
-            "method": "closed-form",
-            "parameter": member.parameter,
-            "parameter_kind": member.param_kind,
-            "conic": list(conic.as_tuple()),
-            "equation": _equation(conic),
-            "center": _pair(member.geom.center),
-            "semi_axes": [member.geom.a, member.geom.b],
-            "rotation": member.geom.phi,
-            "foci": [_pair(f1), _pair(f2)],
-            "tangency": [_pair(p) for p in member.tangency],
-            "area": area,
-            "quad_area": quad_area(q),
-            "ratio": ratio,
-            "bound_gap": math.pi / 4.0 - ratio,
-        }
-    )
-    _emit_text(args, _dump_json(payload))
+    fields = {
+        "method": "closed-form",
+        "parameter": member.parameter,
+        "parameter_kind": member.param_kind,
+        "conic": list(conic.as_tuple()),
+        "equation": _equation(conic),
+        "center": _pair(member.geom.center),
+        "semi_axes": [member.geom.a, member.geom.b],
+        "rotation": member.geom.phi,
+        "foci": [_pair(f1), _pair(f2)],
+        "tangency": [_pair(p) for p in member.tangency],
+        "area": area,
+        "quad_area": quad_area(q),
+        "ratio": ratio,
+        "bound_gap": math.pi / 4.0 - ratio,
+    }
+    _emit_report(args, doc_id, fields)
     return 0
 
 
@@ -183,8 +167,7 @@ def _cmd_family(args) -> int:
 
     q, _ = _load_document(args.document)
     rows = family_areas(q, args.samples)
-    fmt = args.fmt or "csv"
-    if fmt == "csv":
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
@@ -207,26 +190,21 @@ def _cmd_bestfit(args) -> int:
 
     q, doc_id = _load_document(args.document)
     fit = best_fit_line(q.vertices)
-    payload: dict = {}
-    if doc_id is not None:
-        payload["id"] = doc_id
-    payload.update(
-        {
-            "centroid": [fit.centroid.real, fit.centroid.imag],
-            "moment": [fit.moment.real, fit.moment.imag],
-            "spread": fit.spread,
-            "degenerate": fit.degenerate,
-            "objective": fit.min_objective(),
-        }
-    )
+    fields = {
+        "centroid": [fit.centroid.real, fit.centroid.imag],
+        "moment": [fit.moment.real, fit.moment.imag],
+        "spread": fit.spread,
+        "degenerate": fit.degenerate,
+        "objective": fit.min_objective(),
+    }
     if fit.degenerate:
-        payload["direction"] = None
-        payload["line"] = None
+        fields["direction"] = None
+        fields["line"] = None
     else:
         line = fit.line()
-        payload["direction"] = [fit.direction.real, fit.direction.imag]
-        payload["line"] = [line.a, line.b, line.c]
-    _emit_text(args, _dump_json(payload))
+        fields["direction"] = [fit.direction.real, fit.direction.imag]
+        fields["line"] = [line.a, line.b, line.c]
+    _emit_report(args, doc_id, fields)
     return 0
 
 
@@ -293,22 +271,18 @@ def _verify_document(args) -> int:
                 "detail": f"gap to pi/4: {report.bound_gap!r}",
             }
         )
-    payload: dict = {}
-    if doc_id is not None:
-        payload["id"] = doc_id
-    payload.update(
-        {
-            "is_parallelogram": q.is_parallelogram,
-            "is_trapezoid": q.is_trapezoid,
-            "bestfit_degenerate": fit.degenerate,
-            "inscribed_ratio": report.ratio,
-            "circumscribed_ratio": circ,
-            "checks": checks,
-            "all_passed": all(c["passed"] for c in checks),
-        }
-    )
-    _emit_text(args, _dump_json(payload))
-    return 0 if payload["all_passed"] else 1
+    all_passed = all(c["passed"] for c in checks)
+    fields = {
+        "is_parallelogram": q.is_parallelogram,
+        "is_trapezoid": q.is_trapezoid,
+        "bestfit_degenerate": fit.degenerate,
+        "inscribed_ratio": report.ratio,
+        "circumscribed_ratio": circ,
+        "checks": checks,
+        "all_passed": all_passed,
+    }
+    _emit_report(args, doc_id, fields)
+    return 0 if all_passed else 1
 
 
 def _cmd_conjecture(args) -> int:
@@ -353,14 +327,75 @@ def _cmd_render(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "max-ellipse": _cmd_max_ellipse,
-    "family": _cmd_family,
-    "bestfit": _cmd_bestfit,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
-    "render": _cmd_render,
+def _bounded(convert, ok, rule: str):
+    """argparse type: convert a flag's text, then refuse values that break the rule."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+# The options a command may read, by flag; --out is every command's.
+_OPTIONS = {
+    "--samples": {
+        "type": _bounded(int, lambda n: n > 0, "positive"),
+        "default": 10000,
+        "help": "sample or grid count (default 10000)",
+    },
+    "--seed": {
+        "type": _bounded(int, lambda n: n >= 0, "nonnegative"),
+        "default": 42,
+        "help": "RNG seed (default 42)",
+    },
+    "--tol": {
+        "type": _bounded(float, lambda x: x > 0.0, "positive"),
+        "default": 1e-9,
+        "help": "verification tolerance (default 1e-9)",
+    },
+    "--format": {
+        "dest": "fmt",
+        "choices": ("csv", "json"),
+        "default": "csv",
+        "help": "output format (default csv)",
+    },
+}
+
+# name: (handler, document arity, options read besides --out, help text)
+_COMMANDS = {
+    "analyze": (
+        _cmd_analyze, "required", (), "classification, area, diagonal midpoints, canonical (s, t)"
+    ),
+    "max-ellipse": (
+        _cmd_max_ellipse, "required", (), "maximal inscribed ellipse: conic, axes, tangency, ratio"
+    ),
+    "family": (
+        _cmd_family,
+        "required",
+        ("--samples", "--format"),
+        f"inscribed family sweep; CSV columns: {', '.join(_CSV_COLUMNS)}",
+    ),
+    "bestfit": (_cmd_bestfit, "required", (), "orthogonal best-fit line of the four vertices"),
+    "verify": (
+        _cmd_verify,
+        "optional",
+        ("--samples", "--seed", "--tol"),
+        "claim checks: the seeded suite, which reads --samples and --seed, "
+        "or one document when given, which reads --tol",
+    ),
+    "conjecture": (
+        _cmd_conjecture,
+        "none",
+        ("--samples", "--seed"),
+        "seeded scan for circumscribed ratios below pi/2 - 1e-9",
+    ),
+    "render": (
+        _cmd_render, "required", (), "SVG figure: quad, maximal ellipse, best-fit line, foci"
+    ),
 }
 
 
@@ -374,67 +409,28 @@ def _build_parser() -> argparse.ArgumentParser:
             + ". Documents are JSON: {\"vertices\": [[x, y] * 4], \"id\": optional}."
         ),
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    shared.add_argument(
-        "--samples", type=int, default=10000, help="sample or grid count (default 10000)"
-    )
-    shared.add_argument(
-        "--tol", type=float, default=1e-9, help="verification tolerance (default 1e-9)"
-    )
-    shared.add_argument("--out", default=None, help="output path (default stdout)")
-    shared.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("json", "csv", "svg"),
-        default=None,
-        help="output format; each subcommand lists its supported choices",
-    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "analyze": "classification, area, diagonal midpoints, canonical (s, t)",
-        "max-ellipse": "maximal inscribed ellipse: conic, geometry, tangency, ratio",
-        "family": f"inscribed family sweep; CSV columns: {', '.join(_CSV_COLUMNS)}",
-        "bestfit": "orthogonal best-fit line of the four vertices",
-        "verify": "claim checks: full suite, or one document when given",
-        "conjecture": "seeded scan for circumscribed ratios below pi/2",
-        "render": "SVG figure: quad, maximal ellipse, best-fit line, foci",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, parents=[shared], help=help_text, description=help_text)
-        if name in ("verify", "conjecture"):
-            if name == "verify":
-                p.add_argument("document", nargs="?", default=None, help="optional quad document")
-        else:
-            p.add_argument("document", help="path to a quad document, or - for stdin")
+    for name, (handler, document, options, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[out], help=help_text, description=help_text)
+        if document != "none":
+            nargs = "?" if document == "optional" else None
+            p.add_argument("document", nargs=nargs, help="path to a quad document, or - for stdin")
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
-    if args.samples <= 0:
-        print("error: --samples must be positive", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
-    if not args.tol > 0.0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
-    if args.fmt is not None and args.fmt not in _FORMATS[args.command]:
-        allowed = ", ".join(_FORMATS[args.command])
-        print(
-            f"error: format {args.fmt!r} not supported by {args.command} (use {allowed})",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except QuadEllipseError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

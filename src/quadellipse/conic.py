@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import NotAnEllipse, SingularCenterSystem
+from .errors import NotAnEllipse
 from .geom import AffineMap, Line, Point
 
 # A conic counts as degenerate when its value at the center (or, without a
@@ -251,11 +251,11 @@ def conic_to_ellipse(coeffs: ConicCoeffs) -> EllipseGeom:
     """
     if classify_conic(coeffs) is not ConicKind.ELLIPSE:
         raise NotAnEllipse("coefficients do not describe a real ellipse")
+    # classify_conic's ELLIPSE means det2 >= DEGENERACY_RTOL * max(|a|,|b|,|c|)^2
+    # > 0 and an fc < 0 that _eigenframe gives again below, so the centre
+    # system is nonsingular and both semi-axes are real.
     a, b, c, d, e, f = _sign_normalized_quad(coeffs)
     det2 = a * b - c * c
-    qscale = max(abs(a), abs(b), abs(c))
-    if det2 <= DEGENERACY_RTOL * qscale * qscale:
-        raise SingularCenterSystem("quadratic part is singular; no unique center")
     cx = (c * e - b * d) / (2.0 * det2)
     cy = (c * d - a * e) / (2.0 * det2)
     tr = a + b
@@ -266,8 +266,6 @@ def conic_to_ellipse(coeffs: ConicCoeffs) -> EllipseGeom:
     # axes.
     lam_max, lam_min, fc, _ = _eigenframe(a, b, c, d, e, f)
     lam_min = min(lam_min, lam_max)
-    if fc >= 0.0 or lam_min <= 0.0:
-        raise NotAnEllipse("coefficients describe an ellipse with no real points")
     major = math.sqrt(-fc / lam_min)
     minor = math.sqrt(-fc / lam_max)
     if disc <= 1e-14 * tr:

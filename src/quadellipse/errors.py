@@ -10,7 +10,9 @@ class NotAnEllipse(QuadEllipseError):
 
 
 class SingularCenterSystem(QuadEllipseError):
-    pass
+    """No longer raised: an ellipse's centre system is never singular once
+    classify_conic has accepted it. Kept so callers that still catch it keep
+    importing."""
 
 
 class DegenerateLine(QuadEllipseError):

@@ -302,8 +302,33 @@ class TestUsage:
     def test_bad_tol(self, doc, capsys):
         assert run(["verify", doc(SQUARE), "--tol", "-1"]) == 2
 
+    def test_bad_seed_names_the_flag(self, capsys):
+        assert run(["conjecture", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_format_mismatch(self, doc, capsys):
         assert run(["analyze", doc(GENERIC), "--format", "svg"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "DOC", "--seed", "1"],
+            ["max-ellipse", "DOC", "--samples", "5"],
+            ["bestfit", "DOC", "--tol", "1e-3"],
+            ["render", "DOC", "--format", "svg"],
+            ["family", "DOC", "--seed", "1"],
+            ["family", "DOC", "--tol", "1e-3"],
+            ["conjecture", "--samples", "5", "--tol", "1e-3"],
+            ["conjecture", "--samples", "5", "--format", "json"],
+            ["verify", "DOC", "--format", "json"],
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, doc, capsys, argv):
+        path = doc(GENERIC)
+        assert run([path if arg == "DOC" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_main_wrapper(self, doc, capsys):
         assert main(["analyze", doc(GENERIC)]) == 0
