@@ -22,6 +22,11 @@ _EXPORTS = {
             "second_moment slope_identities sum_sq_dist"
         ),
         (
+            "bounds",
+            "InequalityReport check_area_inequality check_foci_on_bestfit "
+            "circumscribed_min_ratio cubic_roots"
+        ),
+        (
             "conic",
             "ConicCoeffs ConicKind EllipseGeom TangencyKind TangencyResult "
             "classify_conic conic_to_ellipse conic_transform ellipse_area "
@@ -46,8 +51,7 @@ _EXPORTS = {
         ),
         (
             "geom",
-            "AffineMap Line Point cubic_roots golden_max golden_min "
-            "quadratic_roots"
+            "AffineMap Line Point golden_max golden_min quadratic_roots"
         ),
         (
             "quad",
@@ -58,11 +62,10 @@ _EXPORTS = {
         ("svgfig", "Scene render_svg"),
         (
             "verify",
-            "CheckOutcome ConjectureReport InequalityReport MardenReport "
-            "ProofVars b_fn c_fn check_area_inequality check_foci_on_bestfit "
-            "check_lemma22 check_ratio_formula circumscribed_min_ratio "
-            "conjecture_scan d_fn marden_check proof_vars "
-            "run_verification_suite sample_canonical_pair sample_convex_quad "
+            "CheckOutcome ConjectureReport MardenReport ProofVars b_fn c_fn "
+            "check_lemma22 check_ratio_formula conjecture_scan d_fn "
+            "marden_check proof_vars run_verification_suite "
+            "sample_canonical_pair sample_convex_quad "
             "sample_parallelogram_vertices scan_sample_vertices scan_z_bound "
             "z_fn"
         ),

@@ -228,7 +228,7 @@ def _cmd_verify(args) -> int:
 
 def _verify_document(args) -> int:
     from .bestfit import best_fit_line
-    from .verify import check_area_inequality, check_foci_on_bestfit, circumscribed_min_ratio
+    from .bounds import check_area_inequality, check_foci_on_bestfit, circumscribed_min_ratio
 
     q, doc_id = _load_document(args.document)
     tol = args.tol
@@ -418,14 +418,33 @@ def _build_parser() -> argparse.ArgumentParser:
             nargs = "?" if document == "optional" else None
             p.add_argument("document", nargs=nargs, help="path to a quad document, or - for stdin")
         for flag in options:
-            p.add_argument(flag, **_OPTIONS[flag])
+            spec = _OPTIONS[flag]
+            # verify reads some flags with a document and the others
+            # without; they stay None unless given, so run() can tell.
+            p.add_argument(flag, **(dict(spec, default=None) if name == "verify" else spec))
         p.set_defaults(handler=handler)
     return parser
 
 
+def _settle_verify_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse a verify flag its mode does not read, and default the rest."""
+    reads = ("--tol",) if args.document else ("--samples", "--seed")
+    given = [f for f in _COMMANDS["verify"][2] if getattr(args, f[2:]) is not None]
+    unread = [f for f in given if f not in reads]
+    if unread:
+        mode = "with" if args.document else "without"
+        parser.error(f"unrecognized arguments {mode} a document: {' '.join(unread)}")
+    for flag in reads:
+        if getattr(args, flag[2:]) is None:
+            setattr(args, flag[2:], _OPTIONS[flag]["default"])
+
+
 def run(argv: list[str]) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "verify":
+            _settle_verify_flags(parser, args)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2

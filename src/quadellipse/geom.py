@@ -2,6 +2,8 @@
 
 Points are plain ``(x, y)`` tuples of floats, lines are implicit
 ``a*x + b*y + c = 0``, and affine maps carry a 2x2 linear part plus a shift.
+Also here: a stable quadratic solver and golden-section search. The cubic
+solver lives in bounds, beside its one caller.
 """
 
 from __future__ import annotations
@@ -165,131 +167,6 @@ def quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     if q == 0.0:
         return (0.0,)
     return (q / a, c / q)
-
-
-# A deflated quadratic whose discriminant is negative by no more than this
-# multiple of its size has a double root lost to rounding, not complex roots.
-_DOUBLE_ROOT_RTOL = 1e-14
-
-
-def cubic_roots(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
-    """Real roots of a*x^3 + b*x^2 + c*x + d, at most three, in no
-    particular order; a repeated root appears once per multiplicity.
-
-    Kahan's method ("To Solve a Real Cubic Equation", 1986): Newton's
-    iteration from a start beyond the root on the far side of the
-    inflection point converges monotonically to one real root; dividing it
-    out, from whichever end of the polynomial is stable, leaves a quadratic
-    for quadratic_roots. Unlike the trigonometric and Cardano forms it stays
-    accurate when the leading coefficient is tiny beside the others. A
-    zero leading coefficient falls back to quadratic_roots.
-
-    The iteration runs in y = x / 2**k, where 2**k bounds the roots (from
-    the coefficients' exponents, as in Fujiwara's bound), on the cubic
-    divided by a power of two, and the quadratic left is divided by one
-    too; powers of two scale without rounding, so the size of the
-    coefficients does not matter, only the spread of the roots: roots
-    further apart than the float range can lose the smaller ones.
-    Non-finite coefficients raise ValueError; a root beyond the float range
-    raises OverflowError.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-        raise ValueError(f"cubic coefficients must be finite, got {(a, b, c, d)}")
-    if a == 0.0:
-        return quadratic_roots(b, c, d)
-    if d == 0.0:
-        return (0.0,) + _quotient_roots(*_pow2_normalized(a, b, c))
-    ea = math.frexp(a)[1]
-    k = (math.frexp(d)[1] - ea) // 3
-    if b != 0.0:
-        k = max(k, math.frexp(b)[1] - ea)
-    if c != 0.0:
-        k = max(k, (math.frexp(c)[1] - ea) // 2)
-    # In y the leading coefficient lies in [1/2, 1), the others below 4 in
-    # magnitude and the roots below 4.
-    a_ = math.ldexp(a, -ea)
-    y, b1, c2, from_end = _kahan_root(
-        a_, math.ldexp(b, -k - ea), math.ldexp(c, -2 * k - ea), math.ldexp(d, -3 * k - ea)
-    )
-    x = math.ldexp(y, k)
-    if from_end:
-        # In x, from c and d as given: the rescaled ones may have underflowed
-        # and taken the smaller roots with them. A tiny a scales a, c and d
-        # up by 2**-ea, exactly, so that -d / x does not underflow beside a
-        # huge root; where that overflows, they stay as given.
-        if ea < 0:
-            try:
-                a, c, d = math.ldexp(a, -ea), math.ldexp(c, -ea), math.ldexp(d, -ea)
-            except OverflowError:
-                pass
-        c2 = -d / x
-        b1 = (c2 - c) / x
-        return (x,) + _quotient_roots(*_pow2_normalized(a, b1, c2))
-    rest = _quotient_roots(*_pow2_normalized(a_, b1, c2))
-    if len(rest) == 2:
-        return x, math.ldexp(rest[0], k), math.ldexp(rest[1], k)
-    return (x,) + rest  # () or (0.0,)
-
-
-def _pow2_normalized(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """The quadratic's coefficients divided by the power of two nearest
-    max(|b|, sqrt|a*c|), so its discriminant neither overflows nor
-    underflows; the roots do not change."""
-    e = (math.frexp(a)[1] + math.frexp(c)[1]) // 2 if c != 0.0 else math.frexp(a)[1]
-    if b != 0.0:
-        e = max(e, math.frexp(b)[1])
-    return math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
-
-
-def _quotient_roots(a: float, b1: float, c2: float) -> tuple[float, ...]:
-    """Roots of the quadratic a*x^2 + b1*x + c2 left by dividing out one
-    root of a cubic."""
-    rest = quadratic_roots(a, b1, c2)
-    if not rest and b1 * b1 - 4.0 * a * c2 >= -_DOUBLE_ROOT_RTOL * b1 * b1:
-        rest = (-0.5 * b1 / a,) * 2
-    return rest
-
-
-def _kahan_root(a: float, b: float, c: float, d: float) -> tuple[float, float, float, bool]:
-    """Kahan's first root x of a cubic with a, d != 0, the coefficients
-    b1, c2 of the quotient a*x^2 + b1*x + c2 left by dividing it out from
-    the leading end, and whether the constant end divides it out more
-    stably (the cubic term dominates at x)."""
-    x = -(b / a) / 3.0
-    fx, slope, b1, c2 = _cubic_eval(a, b, c, d, x)
-    t = fx / a
-    r = abs(t) ** (1.0 / 3.0)
-    s = math.copysign(1.0, t)
-    t = -slope / a
-    # Kahan's bound: x - s*r lies beyond the root, and each Newton step,
-    # shortened by one part in 1e15, stays on that side of it.
-    if t > 0.0:
-        r = 1.324718 * max(r, math.sqrt(t))
-    x_next = x - s * r
-    if x_next == x:
-        return x, b1, c2, False
-    # The residual must fall at every step, which also ends the loop:
-    # rounding noise near a multiple root can throw a step past the root,
-    # and the last point whose residual fell is kept.
-    best = math.inf
-    while True:
-        fx, slope, b1_next, c2_next = _cubic_eval(a, b, c, d, x_next)
-        if not abs(fx) < best:
-            break
-        x, best, b1, c2 = x_next, abs(fx), b1_next, c2_next
-        x_next = x if slope == 0.0 else x - (fx / slope) / 1.000000000000001
-        if s * x_next <= s * x:
-            break
-    return x, b1, c2, abs(a * x * x * x) > abs(d)
-
-
-def _cubic_eval(a: float, b: float, c: float, d: float, x: float):
-    """Value and slope of the cubic at x, and the coefficients b1, c2 of the
-    quotient a*x^2 + b1*x + c2 left by dividing out (x - root)."""
-    q0 = a * x
-    b1 = q0 + b
-    c2 = b1 * x + c
-    return c2 * x + d, (q0 + b1) * x + c2, b1, c2
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

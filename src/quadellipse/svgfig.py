@@ -131,11 +131,14 @@ def render_svg(scene: Scene, width: int = 640) -> bytes:
         parts.append(f'<polygon points="{joined}" {_QUAD_STYLE}/>')
     for geom in scene.ellipses:
         cx, cy = to_screen(geom.center)
-        angle = -math.degrees(geom.phi)
+        # Written as _fmt writes coordinates, to 6 places: no -0.
+        angle = f"{-math.degrees(geom.phi):.6f}"
+        if angle == "-0.000000":
+            angle = "0.000000"
         parts.append(
             f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(geom.a * scale)}" '
             f'ry="{_fmt(geom.b * scale)}" {_ELLIPSE_STYLE} '
-            f'transform="rotate({angle:.6f} {_fmt(cx)} {_fmt(cy)})"/>'
+            f'transform="rotate({angle} {_fmt(cx)} {_fmt(cy)})"/>'
         )
     for line in scene.lines:
         clipped = _clip_line(line, x0, x1, y0, y1)

@@ -2,24 +2,12 @@
 
 Covers the inscribed-area ratio bound (three independent evaluations of the
 ratio that must agree), the bounding profile z and its grid scan, the
-critical-abscissa interval membership, the best-fit-line/foci coincidence
-for parallelograms, the second-derivative-root counterexample, and a seeded
-sampling harness for the circumscribed-ratio conjecture.
-
-The circumscribed construction works in the quad's diagonal frame
-(quad.diagonal_frame), where the vertices are (-alpha, 0), (0, -beta),
-(1 - alpha, 0), (0, 1 - beta) and the area is 1/2. With p = alpha (1 - alpha)
-and r = beta (1 - beta), the conics through them are
-
-    r x^2 + p y^2 + 2c xy + (2 alpha - 1) r x + (2 beta - 1) p y - pr = 0,
-
-one for each c. A member is an ellipse where pr - c^2 > 0 and its center
-value has the opposite sign, and its area ratio is then
-2 pi pr (n - m c - c^2) / (pr - c^2)^{3/2}, with m = (2 alpha - 1)(2 beta - 1)/2
-and n = (p + r)/4 - pr. The ratio is stationary at the real roots of the
-monic cubic c^3 + 2m c^2 + (2pr - 3n) c + m pr, and the minimum is the best
-of those roots. The ratio depends on (alpha, beta) alone, so units,
-placement and aspect do not move it.
+critical-abscissa interval membership, the second-derivative-root
+counterexample, a seeded sampling harness for the circumscribed-ratio
+conjecture, and the suite that runs them all. The per-quad bounds the suite
+and the scan call (the pi/4 inscribed ratio, the foci on the best-fit line
+and the circumscribed minimum) live in bounds, which a one-document check
+loads without this module, and are re-exported here.
 
 numpy is imported inside the functions that draw samples or scan the
 z-grid, not at module level, so importing the package (and every CLI
@@ -34,14 +22,23 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bestfit import best_fit_line, slope_identities
+from .bestfit import slope_identities
+# The suite and the scan call these through this module's names, bound to
+# bounds' very objects, so rebinding a name here (a test's stub, a tracer's
+# span) reaches those calls.
+from .bounds import (
+    QUARTER_PI,
+    InequalityReport,
+    check_area_inequality,
+    check_foci_on_bestfit,
+    circumscribed_min_ratio,
+)
 from .conic import ellipse_area, foci
 from .errors import (
     DegenerateVertices,
     DomainError,
     IdentityMismatch,
     NotConvex,
-    OptimizationFailed,
     QuadEllipseError,
 )
 from .family import (
@@ -51,12 +48,11 @@ from .family import (
     max_area_param,
     midpoint_ellipse,
 )
-from .geom import AffineMap, Point, cubic_roots, distance
+from .geom import AffineMap, Point, distance
 from .quad import (
     ConvexQuad,
     ParallelogramFrame,
     diagonal_midpoints,
-    diagonal_ratios,
     normalize,
     parallelogram_frame,
     quad_area,
@@ -70,7 +66,6 @@ RATIO_AGREE_RTOL = 1e-10
 # A circumscribed ratio below pi/2 by more than this flags a counterexample.
 CONJECTURE_TOL = 1e-9
 
-QUARTER_PI = math.pi / 4.0
 HALF_PI = math.pi / 2.0
 
 # Canonical pairs sampled for identity checks keep this margin from the
@@ -242,31 +237,6 @@ def check_ratio_formula(s: float, t: float) -> float:
     return direct
 
 
-class InequalityReport(NamedTuple):
-    """Maximal inscribed-area ratio of one quad against the pi/4 bound."""
-
-    ratio: float
-    bound_gap: float
-    is_parallelogram: bool
-    is_trapezoid: bool
-
-
-def check_area_inequality(q: ConvexQuad) -> InequalityReport:
-    """Ratio of the maximal inscribed ellipse area to the quad area.
-
-    Every quad, trapezoids included, uses the closed-form maximal member of
-    max_area_ellipse. The gap pi/4 - ratio is zero (to rounding) exactly
-    for parallelograms and strictly positive otherwise.
-    """
-    ratio = ellipse_area(max_area_ellipse(q).geom) / quad_area(q)
-    return InequalityReport(
-        ratio=ratio,
-        bound_gap=QUARTER_PI - ratio,
-        is_parallelogram=q.is_parallelogram,
-        is_trapezoid=q.is_trapezoid,
-    )
-
-
 def check_lemma22(samples: int, seed: int) -> dict[str, tuple[int, int]]:
     """Interval membership of the maximal-area abscissa, per sign regime.
 
@@ -288,28 +258,6 @@ def check_lemma22(samples: int, seed: int) -> dict[str, tuple[int, int]]:
         h = max_area_param(s, t)
         counts[label][0 if lo < h < hi else 1] += 1
     return {label: (passed, failed) for label, (passed, failed) in counts.items()}
-
-
-def check_foci_on_bestfit(frame: ParallelogramFrame) -> float:
-    """Largest distance from the maximal inscribed ellipse's foci to the
-    orthogonal best-fit line of the parallelogram's vertices.
-
-    For squares the vertex moment vanishes and no single best-fit line
-    exists; the member must then be a circle whose coincident foci sit on
-    the centroid, and the distance to the centroid is returned instead.
-    """
-    member = midpoint_ellipse(frame)
-    f1, f2 = foci(member.geom)
-    fit = best_fit_line(frame.placed_corners())
-    if fit.degenerate:
-        if member.geom.a - member.geom.b > 1e-9 * member.geom.a:
-            raise IdentityMismatch(
-                "vertex moment vanished but the maximal member is not a circle"
-            )
-        g = (fit.centroid.real, fit.centroid.imag)
-        return max(distance(f1, g), distance(f2, g))
-    line = fit.line()
-    return max(line.distance_to(f1), line.distance_to(f2))
 
 
 class MardenReport(NamedTuple):
@@ -344,53 +292,6 @@ def marden_check(frame: ParallelogramFrame) -> MardenReport:
         second_derivative_roots=dd_roots,
         min_distance=min_distance,
     )
-
-
-def circumscribed_min_ratio(q: ConvexQuad) -> float:
-    """Minimal area ratio over ellipses through the four vertices.
-
-    Works in the diagonal frame (see the module docstring). The ratio is
-    infinite at both ends of the ellipse range of c, so the minimum is at a
-    root of the stationarity cubic. A root is scored only where both
-    pr - c^2 and n - m c - c^2 are positive, that is, where the member is a
-    real ellipse: on a trapezoid the two parallel sides form a member with
-    both zero, and rounding can put that root just inside the range with a
-    ratio <= 0. Before the ratio is reported, the winning conic, scaled so
-    that its largest coefficient is 1 as ConicCoeffs.canonical scales it,
-    is checked to pass through the four frame vertices to 1e-9. Only
-    (alpha, beta) are taken from the quad: no frame map or conic object is
-    built.
-    """
-    alpha, beta = diagonal_ratios(q)
-    p, r = alpha * (1.0 - alpha), beta * (1.0 - beta)
-    pr = p * r
-    m = 0.5 * (2.0 * alpha - 1.0) * (2.0 * beta - 1.0)
-    n = 0.25 * (p + r) - pr
-    best_c, best = math.nan, math.inf
-    for c in cubic_roots(1.0, 2.0 * m, 2.0 * pr - 3.0 * n, m * pr):
-        det2, center = pr - c * c, n - m * c - c * c
-        if det2 > 0.0 and center > 0.0:
-            ratio = 2.0 * math.pi * pr * center / (det2 * math.sqrt(det2))
-            if ratio < best:
-                best_c, best = c, ratio
-    if not math.isfinite(best):
-        raise OptimizationFailed("no ellipse member found in the vertex pencil")
-    # Each frame vertex lies on an axis, so the terms dropped from the
-    # conic's value there are exact zeros.
-    d, e = (2.0 * alpha - 1.0) * r, (2.0 * beta - 1.0) * p
-    k = 1.0 / max((r, p, best_c, d, e, -pr), key=abs)
-    a, b, d, e, f = k * r, k * p, k * d, k * e, k * -pr
-    worst = max(
-        abs(a * alpha * alpha - d * alpha + f),
-        abs(b * beta * beta - e * beta + f),
-        abs(a * (1.0 - alpha) * (1.0 - alpha) + d * (1.0 - alpha) + f),
-        abs(b * (1.0 - beta) * (1.0 - beta) + e * (1.0 - beta) + f),
-    )
-    if worst > 1e-9:
-        raise OptimizationFailed(
-            f"minimal member misses a vertex by {worst:.3g} in the diagonal frame"
-        )
-    return best
 
 
 # A frozen dataclass, unlike the other records: perfbench's tests copy it

@@ -321,6 +321,8 @@ class TestUsage:
             ["conjecture", "--samples", "5", "--tol", "1e-3"],
             ["conjecture", "--samples", "5", "--format", "json"],
             ["verify", "DOC", "--format", "json"],
+            ["verify", "DOC", "--samples", "5"],
+            ["verify", "--tol", "1e-3"],
         ],
     )
     def test_flag_the_command_does_not_read(self, doc, capsys, argv):
@@ -329,6 +331,7 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+        assert argv[-2] in captured.err  # the unread flag is named
 
     def test_main_wrapper(self, doc, capsys):
         assert main(["analyze", doc(GENERIC)]) == 0
@@ -384,14 +387,15 @@ class TestImportCost:
             ("max-ellipse", {"conic", "family"}),
             ("family", {"conic", "family"}),
             ("render", {"conic", "family", "bestfit", "svgfig"}),
-            ("verify", {"conic", "family", "bestfit", "verify", "dataclasses"}),
+            ("verify", {"conic", "family", "bestfit", "bounds"}),
         ],
     )
     def test_each_document_command_loads_only_what_it_runs(self, doc, command, loaded):
         # Every command validates its document, so cli, errors, geom and
         # quad always load; the handler adds the modules it calls. Results
-        # are named tuples, so only verify's ConjectureReport, still a
-        # dataclass, loads dataclasses.
+        # are named tuples, and verify DOC takes its checks from bounds, so
+        # no document command loads verify or, with its ConjectureReport,
+        # dataclasses.
         modules = _fresh_modules(_ONE_COMMAND_SCRIPT, command, doc(GENERIC))
         assert modules == {"cli", "errors", "geom", "quad"} | loaded
         assert "numpy" not in modules

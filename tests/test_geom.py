@@ -4,11 +4,11 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from quadellipse.bounds import cubic_roots
 from quadellipse.geom import (
     AffineMap,
     Line,
     cross2,
-    cubic_roots,
     distance,
     golden_max,
     golden_min,

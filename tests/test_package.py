@@ -1,9 +1,11 @@
 import importlib
 import math
+import types
 
 import pytest
 
 import quadellipse
+from quadellipse import bounds, verify
 from quadellipse.bestfit import best_fit_line, slope_identities
 from quadellipse.conic import ConicCoeffs, EllipseGeom, line_tangency
 from quadellipse.errors import DegenerateLine
@@ -30,6 +32,28 @@ class TestExportTable:
         for name, module in quadellipse._EXPORTS.items():
             submodule = importlib.import_module(f"quadellipse.{module}")
             assert getattr(quadellipse, name) is getattr(submodule, name), name
+
+    def test_each_function_and_class_maps_to_the_module_defining_it(self):
+        # A name mapped to a module that only re-exports it would load that
+        # module, and all it imports, on first use.
+        for name, module in quadellipse._EXPORTS.items():
+            value = getattr(quadellipse, name)
+            if isinstance(value, (type, types.FunctionType)):
+                assert value.__module__ == f"quadellipse.{module}", name
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "InequalityReport",
+            "check_area_inequality",
+            "check_foci_on_bestfit",
+            "circumscribed_min_ratio",
+        ],
+    )
+    def test_verify_reexports_the_bounds_objects(self, name):
+        # A tracer that rebinds a function wherever a module binds that very
+        # object reaches the suite's and the scan's calls through verify.
+        assert getattr(verify, name) is getattr(bounds, name)
 
     def test_star_import_binds_every_name(self):
         namespace: dict = {}
