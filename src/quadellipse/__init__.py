@@ -46,8 +46,7 @@ _EXPORTS = {
             "family",
             "CenterLocus InscribedMember area_sq ellipse_at_center family_areas "
             "locus_line max_area_by_search max_area_ellipse max_area_param "
-            "midpoint_ellipse parallelogram_family rectangle_family "
-            "rectangle_semi_axes_sq"
+            "midpoint_ellipse"
         ),
         (
             "geom",

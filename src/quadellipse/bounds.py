@@ -30,10 +30,10 @@ from typing import NamedTuple
 
 from .bestfit import best_fit_line
 from .conic import ellipse_area, foci
-from .errors import IdentityMismatch, OptimizationFailed
-from .family import max_area_ellipse, midpoint_ellipse
+from .errors import IdentityMismatch, NotParallelogram, OptimizationFailed
+from .family import max_area_ellipse
 from .geom import distance, quadratic_roots
-from .quad import ConvexQuad, ParallelogramFrame, diagonal_ratios, quad_area
+from .quad import ConvexQuad, diagonal_ratios, quad_area
 
 QUARTER_PI = math.pi / 4.0
 
@@ -63,17 +63,22 @@ def check_area_inequality(q: ConvexQuad) -> InequalityReport:
     )
 
 
-def check_foci_on_bestfit(frame: ParallelogramFrame) -> float:
-    """Largest distance from the maximal inscribed ellipse's foci to the
-    orthogonal best-fit line of the parallelogram's vertices.
+def check_foci_on_bestfit(q: ConvexQuad) -> float:
+    """Largest distance from the foci of max_area_ellipse(q) to the
+    orthogonal best-fit line of q's own vertices.
 
-    For squares the vertex moment vanishes and no single best-fit line
-    exists; the member must then be a circle whose coincident foci sit on
-    the centroid, and the distance to the centroid is returned instead.
+    The quad must carry the parallelogram flag, else NotParallelogram is
+    raised; within the flag's tolerance it is judged as given, not
+    re-placed on an exact parallelogram. For squares the vertex moment
+    vanishes and no single best-fit line exists; the member must then be a
+    circle whose coincident foci sit on the centroid, and the distance to
+    the centroid is returned instead.
     """
-    member = midpoint_ellipse(frame)
+    if not q.is_parallelogram:
+        raise NotParallelogram("the foci check requires both opposite side pairs parallel")
+    member = max_area_ellipse(q)
     f1, f2 = foci(member.geom)
-    fit = best_fit_line(frame.placed_corners())
+    fit = best_fit_line(q.vertices)
     if fit.degenerate:
         if member.geom.a - member.geom.b > 1e-9 * member.geom.a:
             raise IdentityMismatch(

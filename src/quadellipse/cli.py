@@ -18,7 +18,7 @@ import sys
 # Every command validates a document, so only errors and quad load up
 # front; each handler imports the rest of the library it runs.
 from .errors import DomainError, QuadEllipseError
-from .quad import ConvexQuad, diagonal_midpoints, normalize, parallelogram_frame, quad_area, validate
+from .quad import ConvexQuad, diagonal_midpoints, normalize, quad_area, validate
 
 _CSV_COLUMNS = ("param", "area", "center_x", "center_y")
 
@@ -143,7 +143,7 @@ def _cmd_max_ellipse(args) -> int:
     fields = {
         "method": "closed-form",
         "parameter": member.parameter,
-        "parameter_kind": member.param_kind,
+        "parameter_kind": "pencil",
         "conic": list(conic.as_tuple()),
         "equation": _equation(conic),
         "center": _pair(member.geom.center),
@@ -255,7 +255,7 @@ def _verify_document(args) -> int:
                 "detail": f"|ratio - pi/4| = {abs(report.bound_gap):.3e}",
             }
         )
-        rel = check_foci_on_bestfit(parallelogram_frame(q)) / q.diameter()
+        rel = check_foci_on_bestfit(q) / q.diameter()
         checks.append(
             {
                 "name": "foci-on-best-fit",

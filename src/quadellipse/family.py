@@ -1,10 +1,10 @@
 """Families of ellipses inscribed in convex quadrilaterals.
 
-Closed-form one-parameter families for rectangles and parallelograms, the
-center locus and area profile in the canonical (s, t) frame, the dual-pencil
-construction that produces the unique inscribed ellipse at any admissible
-center, and the maximal-area member in closed form for every convex quad.
-Members of a given quad are built in its diagonal frame (quad.diagonal_frame),
+The center locus and area profile in the canonical (s, t) frame, and the
+dual pencil, the package's one construction of inscribed members: it gives
+the unique inscribed ellipse at any admissible center and the maximal-area
+member in closed form for every convex quad, parallelograms and trapezoids
+included. Members of a given quad are built in its diagonal frame (quad.diagonal_frame),
 where the diagonals are perpendicular unit segments, and mapped back; units,
 placement and aspect do not cost digits. Each is labelled by its pencil
 position lam in (0, 1), its centre being M1 + lam (M2 - M1) with
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .conic import ConicCoeffs, EllipseGeom, conic_to_ellipse, conic_transform
+from .conic import ConicCoeffs, EllipseGeom, conic_transform
 from .errors import CenterOffLocus, IsParallelogram, ParameterOutOfRange
 from .geom import AffineMap, Point, golden_max, quadratic_roots
 from .quad import (
@@ -75,104 +75,17 @@ class CenterLocus(NamedTuple):
 
 
 class InscribedMember(NamedTuple):
-    """One inscribed ellipse of a quadrilateral family.
+    """One inscribed ellipse of a quad's family.
 
-    ``parameter`` is the family coordinate named by ``param_kind``:
-    "pencil" for every member built from a quad, the position lam in (0, 1)
-    of its center along the diagonal-midpoint segment M1 -> M2; "v" only
-    for rectangle_family and parallelogram_family, the tangency height on
-    their frame. ``tangency`` holds one point per side, in side order.
+    ``parameter`` is the member's pencil position lam in (0, 1), its center
+    being M1 + lam (M2 - M1) on the diagonal-midpoint segment.
+    ``tangency`` holds one point per side, in side order.
     """
 
     parameter: float
-    param_kind: str
     conic: ConicCoeffs
     geom: EllipseGeom
     tangency: tuple[Point, Point, Point, Point]
-
-
-def rectangle_family(l: float, k: float, v: float) -> InscribedMember:
-    """Inscribed ellipse of the rectangle [0, l] x [0, k] tangent at (0, v).
-
-    Conic: k^2 x^2 + l^2 y^2 - 2 l (k - 2v) x y - 2 l k v x - 2 l^2 v y
-    + l^2 v^2 = 0, tangent to the four sides at (lv/k, 0), (l, k - v),
-    (l(k - v)/k, k), and (0, v). Valid for 0 < v < k.
-    """
-    if not (l > 0.0 and k > 0.0):
-        raise ParameterOutOfRange("rectangle sides l, k must be positive")
-    if not (0.0 < v < k):
-        raise ParameterOutOfRange(f"tangency height v = {v} must lie in (0, {k})")
-    conic = ConicCoeffs(
-        a=k * k,
-        b=l * l,
-        c=-l * (k - 2.0 * v),
-        d=-2.0 * l * k * v,
-        e=-2.0 * l * l * v,
-        f=l * l * v * v,
-    )
-    tangency = (
-        (l * v / k, 0.0),
-        (l, k - v),
-        (l * (k - v) / k, k),
-        (0.0, v),
-    )
-    return InscribedMember(
-        parameter=v,
-        param_kind="v",
-        conic=conic,
-        geom=conic_to_ellipse(conic),
-        tangency=tangency,
-    )
-
-
-def rectangle_semi_axes_sq(l: float, k: float, v: float) -> tuple[float, float]:
-    """Closed-form squared semi-axes of the rectangle family member."""
-    s2 = k * k + l * l
-    root = math.sqrt(s2 * s2 - 16.0 * l * l * (k - v) * v)
-    num = 2.0 * l * l * (k - v) * v
-    return (num / (s2 - root), num / (s2 + root))
-
-
-def parallelogram_family(l: float, k: float, d: float, v: float) -> InscribedMember:
-    """Inscribed ellipse of the frame parallelogram, tangent at height v.
-
-    The frame has vertices (0,0), (l,0), (d+l,k), (d,k); the member is
-    tangent to the left side at the point at height v. Shearing the
-    rectangle family gives the conic
-
-        k^3 x^2 + (k (d+l)^2 - 4 d l v) y^2 - 2 k (k (d+l) - 2 l v) x y
-        - 2 k^2 l v x + 2 k l v (d - l) y + k l^2 v^2 = 0,
-
-    and its tangency points are the rectangle family's under the same shear
-    x -> x + (d/k) y: (lv/k, 0), (l + d(k - v)/k, k - v), (l(k - v)/k + d, k)
-    and (dv/k, v).
-    """
-    if not (l > 0.0 and k > 0.0) or d < 0.0:
-        raise ParameterOutOfRange("frame needs l, k > 0 and d >= 0")
-    if not (0.0 < v < k):
-        raise ParameterOutOfRange(f"tangency height v = {v} must lie in (0, {k})")
-    dl = d + l
-    conic = ConicCoeffs(
-        a=k * k * k,
-        b=k * dl * dl - 4.0 * d * l * v,
-        c=-k * (k * dl - 2.0 * l * v),
-        d=-2.0 * k * k * l * v,
-        e=2.0 * k * l * v * (d - l),
-        f=k * l * l * v * v,
-    )
-    tangency = (
-        (l * v / k, 0.0),
-        (l + d * (k - v) / k, k - v),
-        (l * (k - v) / k + d, k),
-        (d * v / k, v),
-    )
-    return InscribedMember(
-        parameter=v,
-        param_kind="v",
-        conic=conic,
-        geom=conic_to_ellipse(conic),
-        tangency=tangency,
-    )
 
 
 def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
@@ -270,7 +183,7 @@ def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
     if q.is_parallelogram:
         raise IsParallelogram(
             "parallelogram centers are fixed at the diagonal midpoint; "
-            "use midpoint_ellipse on its frame"
+            "use max_area_ellipse"
         )
     alpha, beta, back = diagonal_frame(q)
     (m1x, m1y), (m2x, m2y) = diagonal_midpoints(q)
@@ -298,7 +211,7 @@ def ellipse_at_center(q: ConvexQuad, center: Point) -> InscribedMember:
 def _pencil_member(alpha: float, beta: float, back: AffineMap, lam: float) -> InscribedMember:
     """The inscribed ellipse centered at M1 + lam (M2 - M1), built in the
     diagonal frame (alpha, beta) from _member_shape and placed back onto the
-    quad by ``back``; its parameter is lam ("pencil").
+    quad by ``back``; its parameter is lam.
 
     In the frame its conic is (x - c)^T adj(S) (x - c) = det S, written out
     without cancellation: with D = diag(lam p, (1 - lam) r), the quadratic
@@ -335,7 +248,6 @@ def _pencil_member(alpha: float, beta: float, back: AffineMap, lam: float) -> In
     phi = 0.5 * math.atan2(2.0 * p01, p00 - p11) if disc > 1e-14 * tr else 0.0
     return InscribedMember(
         parameter=lam,
-        param_kind="pencil",
         conic=conic_transform(conic, back).canonical(),
         geom=EllipseGeom(center=back((cx, cy)), a=major, b=minor, phi=phi),
         tangency=tuple(tangency),

@@ -2,10 +2,16 @@
 frame, the canonical (s, t) form, diagonal midpoints, and parallelogram
 frames.
 
-The canonical form places one vertex at the origin, its two neighbors at
-(1, 0) and (0, 1), and the opposite vertex at (s, t) with s + t > 1 and
-s != 1 != t. Every convex non-trapezoid admits such a form; trapezoids are
-refused because one of s, t degenerates to 1.
+Every answer works in the diagonal frame, where the diagonals are
+perpendicular unit segments and only (alpha, beta), the fractions at which
+they cut each other, describe the shape. The canonical form places one
+vertex at the origin, its two neighbors at (1, 0) and (0, 1), and the
+opposite vertex at (s, t) with s + t > 1 and s != 1 != t; normalize picks
+that vertex from (alpha, beta), so (s, t) depend only on the affine class
+and orientation. Every convex non-trapezoid admits such a form; trapezoids
+are refused because one of s, t degenerates to 1. No route takes the rigid
+parallelogram frame below: max_area_ellipse takes parallelograms in the
+diagonal frame like every other quad.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
     NotConvex,
     NotParallelogram,
 )
-from .geom import AffineMap, Line, Point, cross2, distance, dot2, midpoint, sub2
+from .geom import AffineMap, Line, Point, cross2, distance, midpoint, sub2
 
 # Opposite sides count as parallel when their cross product is below this
 # multiple of the product of their lengths.
@@ -217,25 +223,6 @@ def diagonal_midpoints(q: ConvexQuad) -> tuple[Point, Point]:
     return (midpoint(v[1], v[3]), midpoint(v[0], v[2]))
 
 
-def _anchor_index(q: ConvexQuad) -> int:
-    """Vertex whose interior angle is closest to a right angle.
-
-    The canonical frame has a right angle at the origin, so anchoring at the
-    most nearly right-angled vertex makes canonical inputs round-trip
-    exactly. Minimizing |cos| needs no arccos; ties go to the earliest
-    counterclockwise index.
-    """
-    v = q.vertices
-    best, best_val = 0, math.inf
-    for i in range(4):
-        u = sub2(v[(i + 1) % 4], v[i])
-        w = sub2(v[(i + 3) % 4], v[i])
-        val = abs(dot2(u, w)) / (math.hypot(*u) * math.hypot(*w))
-        if val < best_val:
-            best, best_val = i, val
-    return best
-
-
 def require_canonical_pair(s: float, t: float) -> None:
     """Raise CanonicalFormViolated unless (s, t) is the far vertex of a
     canonical quad: s, t > 0, s + t > 1 and s != 1 != t."""
@@ -248,23 +235,36 @@ def require_canonical_pair(s: float, t: float) -> None:
 def normalize(q: ConvexQuad) -> NormalizedQuad:
     """Affinely map a convex non-trapezoid onto its canonical (s, t) form.
 
-    The anchor vertex goes to the origin, its counterclockwise successor to
-    (1, 0), its predecessor to (0, 1), and the opposite vertex to (s, t).
-    (s, t) come from Cramer's rule on vertex differences, so a quad far from
-    the origin keeps its digits. Trapezoids (including parallelograms) are
+    The labelling comes from diagonal_ratios: starting k vertices further
+    counterclockwise maps (alpha, beta) to (beta, 1 - alpha), k times, and
+    exactly one k gives alpha <= 1/2 and beta < 1/2, which is s > t and
+    s + t >= 2 (alpha = 1/(s + t), beta = t/(s + t)). k is read off the
+    input's own ratios, never relabelled ones, so rounding cannot leave
+    zero labellings or two. (alpha, beta) are affine invariants: every
+    orientation-preserving image of q gets the same (s, t), and a
+    reflection gets the mirror labelling's pair.
+
+    Vertex k goes to the origin, its counterclockwise successor to (1, 0),
+    its predecessor to (0, 1), and the opposite vertex to (s, t). (s, t)
+    come from Cramer's rule on vertex differences, so a quad far from the
+    origin keeps its digits. Trapezoids (including parallelograms) are
     refused.
     """
     if q.is_trapezoid or q.is_parallelogram:
         raise IsTrapezoid(
-            "canonical (s, t) form requires a non-trapezoid; parallelograms "
-            "use parallelogram_frame instead"
+            "canonical (s, t) form requires a non-trapezoid; max_area_ellipse "
+            "takes trapezoids and parallelograms"
         )
-    i = _anchor_index(q)
+    alpha, beta = diagonal_ratios(q)
+    if alpha < 0.5 or (alpha == 0.5 and beta < 0.5):
+        k = 0 if beta < 0.5 else 3
+    else:
+        k = 1 if beta <= 0.5 else 2
     v = q.vertices
-    anchor = v[i]
-    e1 = sub2(v[(i + 1) % 4], anchor)
-    e2 = sub2(v[(i + 3) % 4], anchor)
-    far = sub2(v[(i + 2) % 4], anchor)
+    anchor = v[k]
+    e1 = sub2(v[(k + 1) % 4], anchor)
+    e2 = sub2(v[(k + 3) % 4], anchor)
+    far = sub2(v[(k + 2) % 4], anchor)
     det = cross2(e1, e2)
     s, t = cross2(far, e2) / det, cross2(e1, far) / det
     from_canonical = AffineMap(e1[0], e2[0], e1[1], e2[1], anchor[0], anchor[1])

@@ -46,15 +46,12 @@ from .family import (
     locus_line,
     max_area_ellipse,
     max_area_param,
-    midpoint_ellipse,
 )
-from .geom import AffineMap, Point, distance
+from .geom import Point, distance
 from .quad import (
     ConvexQuad,
-    ParallelogramFrame,
     diagonal_midpoints,
     normalize,
-    parallelogram_frame,
     quad_area,
     require_canonical_pair,
     validate,
@@ -275,15 +272,14 @@ class MardenReport(NamedTuple):
     min_distance: float
 
 
-def marden_check(frame: ParallelogramFrame) -> MardenReport:
-    zs = tuple(complex(x, y) for x, y in frame.placed_corners())
+def marden_check(q: ConvexQuad) -> MardenReport:
+    zs = tuple(complex(x, y) for x, y in q.vertices)
     e1 = zs[0] + zs[1] + zs[2] + zs[3]
     e2 = sum(zs[i] * zs[j] for i in range(4) for j in range(i + 1, 4))
     # Second derivative of prod (x - z_j) is 12 x^2 - 6 e1 x + 2 e2.
     root = cmath.sqrt(36.0 * e1 * e1 - 96.0 * e2)
     dd_roots = ((6.0 * e1 + root) / 24.0, (6.0 * e1 - root) / 24.0)
-    member = midpoint_ellipse(frame)
-    f1, f2 = foci(member.geom)
+    f1, f2 = foci(max_area_ellipse(q).geom)
     focal = (complex(*f1), complex(*f2))
     min_distance = min(abs(f - r) for f in focal for r in dd_roots)
     return MardenReport(
@@ -562,8 +558,8 @@ def run_verification_suite(samples: int = 1000, seed: int = 0) -> list[CheckOutc
     def foci_line():
         worst = 0.0
         for _ in range(max(samples // 4, 1)):
-            frame = parallelogram_frame(validate(sample_parallelogram_vertices(rng)))
-            worst = max(worst, check_foci_on_bestfit(frame))
+            q = validate(sample_parallelogram_vertices(rng))
+            worst = max(worst, check_foci_on_bestfit(q))
         return worst < 1e-9, f"max focus-to-line distance {worst:.2e}"
 
     def slope_forms():
@@ -579,8 +575,7 @@ def run_verification_suite(samples: int = 1000, seed: int = 0) -> list[CheckOutc
         return worst < 1e-10, f"max pairwise slope gap {worst:.2e}"
 
     def marden_rectangle():
-        frame = ParallelogramFrame(l=1.0, k=2.0, d=0.0, placement=AffineMap.identity())
-        rep = marden_check(frame)
+        rep = marden_check(validate(((0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0))))
         expect = {0.5 + 0.5j, 0.5 + 1.5j}
         got_ok = all(
             min(abs(r - e) for e in expect) < 1e-12 for r in rep.second_derivative_roots

@@ -35,7 +35,6 @@ from quadellipse import (
     parallelogram_frame,
     proportional,
     quad_area,
-    rectangle_family,
     sample_canonical_pair,
     sample_convex_quad,
     sample_parallelogram_vertices,
@@ -47,6 +46,8 @@ from quadellipse import (
     z_fn,
 )
 from quadellipse.verify import _PAIR_REGIMES
+
+from oracles import rectangle_family
 
 QUARTER_PI = math.pi / 4.0
 HALF_PI = math.pi / 2.0
@@ -82,7 +83,7 @@ def test_criterion_01_rectangle_example():
     assert math.hypot(f1[0] - 0.5, f1[1] - (1.0 - half)) <= 1e-12
     assert math.hypot(f2[0] - 0.5, f2[1] - (1.0 + half)) <= 1e-12
 
-    report = marden_check(ParallelogramFrame(1.0, 2.0, 0.0, AffineMap.identity()))
+    report = marden_check(validate(((0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0))))
     expected = (complex(0.5, 0.5), complex(0.5, 1.5))
     gaps = [min(abs(r - e) for r in report.second_derivative_roots) for e in expected]
     assert max(gaps) <= 1e-12

@@ -43,7 +43,7 @@ class TestAnalyze:
         assert payload["is_trapezoid"] is False
         assert payload["area"] == pytest.approx(2.5)
         assert payload["canonical"]["s"] == pytest.approx(2.0)
-        assert payload["canonical"]["t"] == pytest.approx(3.0)
+        assert payload["canonical"]["t"] == pytest.approx(0.5)
         assert payload["diagonal_midpoints"][0] == pytest.approx([0.5, 0.5])
 
     def test_output_reingests_as_document(self, doc, capsys, tmp_path):

@@ -18,6 +18,7 @@ from quadellipse.quad import (
     ConvexQuad,
     diagonal_frame,
     diagonal_midpoints,
+    diagonal_ratios,
     frame_vertices,
     normalize,
     parallelogram_frame,
@@ -316,12 +317,40 @@ class TestDiagonalFrame:
 
 class TestNormalize:
     def test_canonical_quad_is_fixed_point(self):
-        q = validate(((0.0, 0.0), (1.0, 0.0), (2.0, 3.0), (0.0, 1.0)))
+        # s > t and s + t >= 2 is the labelling normalize picks, so the
+        # canonical quad comes back bit for bit, anchored at the origin.
+        for s, t in ((3.0, 2.0), (5.0, 0.5), (2.0, 0.5)):
+            q = validate(((0.0, 0.0), (1.0, 0.0), (s, t), (0.0, 1.0)))
+            nq = normalize(q)
+            assert (nq.s, nq.t) == (s, t)
+            assert nq.from_canonical((0.0, 0.0)) == q.vertices[0]
+            for want, v in zip(SQUARE[:2], q.vertices[:2]):
+                assert nq.to_canonical(v) == pytest.approx(want, abs=1e-12)
+
+    def test_generic_takes_the_labelling_with_small_ratios(self):
+        # GENERIC is the canonical quad (2, 3) seen from vertex 0; from
+        # vertex 3 its ratios are alpha = 2/5, beta = 1/5, both below 1/2.
+        q = validate(GENERIC)
         nq = normalize(q)
-        assert nq.s == pytest.approx(2.0, abs=1e-12)
-        assert nq.t == pytest.approx(3.0, abs=1e-12)
-        for want, got in zip(SQUARE[:2], (nq.to_canonical(q.vertices[0]), nq.to_canonical(q.vertices[1]))):
-            assert got == pytest.approx(want, abs=1e-12)
+        assert (nq.s, nq.t) == pytest.approx((2.0, 0.5), abs=1e-15)
+        assert nq.from_canonical((0.0, 0.0)) == q.vertices[3]
+
+    @pytest.mark.parametrize(
+        "verts, anchor",
+        [
+            (((0.0, 0.0), (1.0, 0.0), (1.5, 0.5), (0.0, 1.0)), 0),
+            (((0.0, 0.0), (1.0, 0.0), (0.5, 1.5), (0.0, 1.0)), 2),
+        ],
+    )
+    def test_half_open_rule_at_alpha_one_half(self, verts, anchor):
+        # alpha is exactly 1/2 on both, with beta = 1/4 and 3/4: the ties
+        # go to the labelling with beta < 1/2 (k = 0 and k = 2), never to
+        # the one with beta = 1/2, which would give (2, 2).
+        q = validate(verts)
+        assert diagonal_ratios(q)[0] == 0.5
+        nq = normalize(q)
+        assert (nq.s, nq.t) == (1.5, 0.5)
+        assert nq.from_canonical((0.0, 0.0)) == q.vertices[anchor]
 
     def test_maps_are_mutually_inverse(self):
         nq = normalize(validate(GENERIC))
@@ -369,15 +398,25 @@ class TestNormalize:
                 for got, want in ((nq.s, s), (nq.t, t)):
                     assert abs(Fraction(got) - want) <= Fraction(8 * 2**-52) * abs(want), (diams, angle)
 
-    def test_affine_image_recovers_same_invariants(self):
-        # (s, t) only depends on the affine class and the labeling; a rigid
-        # motion cannot change the anchored labeling class.
-        q = validate(GENERIC)
-        nq = normalize(q)
-        c, s = math.cos(0.6), math.sin(0.6)
-        moved = validate(tuple((c * x - s * y + 5.0, s * x + c * y - 2.0) for x, y in GENERIC))
-        nm = normalize(moved)
-        assert sorted((nm.s, nm.t)) == pytest.approx(sorted((nq.s, nq.t)), rel=1e-9)
+    def test_affine_images_share_one_pair(self):
+        # (s, t) depend only on the affine class and the orientation: one
+        # pair over the orientation-preserving maps, and the mirror
+        # labelling's pair besides over reflections.
+        rng = np.random.default_rng(17)
+        pairs = {True: set(), False: set()}
+        maps = 0
+        while maps < 1200:
+            m = rng.normal(size=(2, 2))
+            det = float(np.linalg.det(m))
+            if abs(det) < 0.2:
+                continue
+            shift = rng.uniform(-100.0, 100.0, 2)
+            image = tuple(tuple(float(c) for c in m @ v + shift) for v in np.array(GENERIC))
+            nq = normalize(validate(image))
+            pairs[det > 0.0].add((round(nq.s, 9), round(nq.t, 9)))
+            maps += 1
+        assert pairs[True] == {(2.0, 0.5)}
+        assert pairs[True] | pairs[False] == {(2.0, 0.5), (3.0, 2.0)}
 
     def test_vertex_images_form_canonical_quad(self):
         q = validate(KITE)

@@ -13,15 +13,17 @@ from quadellipse.errors import (
     DomainError,
     IdentityMismatch,
     NotConvex,
+    NotParallelogram,
 )
 from quadellipse.family import max_area_ellipse, midpoint_ellipse
 from quadellipse import verify
 from quadellipse.geom import AffineMap, golden_min, quadratic_roots
+from quadellipse.bestfit import best_fit_line
 from quadellipse.quad import (
+    PARALLEL_RTOL,
     ParallelogramFrame,
     diagonal_frame,
     frame_vertices,
-    parallelogram_frame,
     quad_area,
     validate,
 )
@@ -290,16 +292,32 @@ class TestFociAndMarden:
     def test_foci_on_line_random_parallelograms(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            frame = parallelogram_frame(validate(sample_parallelogram_vertices(rng)))
-            assert check_foci_on_bestfit(frame) < 1e-9
+            assert check_foci_on_bestfit(validate(sample_parallelogram_vertices(rng))) < 1e-9
+
+    def test_foci_check_judges_the_input_itself(self):
+        # Flagged a parallelogram within PARALLEL_RTOL, not exactly one: the
+        # check measures these vertices and their own maximal member.
+        q = validate(((0.0, 0.0), (2.0, 0.0), (3.0 + 3e-11, 1.0), (1.0, 1.0)))
+        assert q.is_parallelogram and q.vertices[2] != (3.0, 1.0)
+        line = best_fit_line(q.vertices).line()
+        want = max(line.distance_to(f) for f in foci(max_area_ellipse(q).geom))
+        assert check_foci_on_bestfit(q) == want
+
+    def test_foci_check_refuses_a_non_parallelogram(self):
+        trapezoid = validate(((0.0, 0.0), (4.0, 0.0), (3.0, 1.0), (1.0, 1.0)))
+        for verts in (((0.0, 0.0), (1.0, 0.0), (2.0, 3.0), (0.0, 1.0)), trapezoid.vertices):
+            with pytest.raises(NotParallelogram):
+                check_foci_on_bestfit(validate(verts))
+        near = validate(((0.0, 0.0), (2.0, 0.0), (3.0, 1.0 + 100.0 * PARALLEL_RTOL), (1.0, 1.0)))
+        with pytest.raises(NotParallelogram):
+            check_foci_on_bestfit(near)
 
     def test_square_takes_degenerate_branch(self):
-        frame = ParallelogramFrame(l=2.0, k=2.0, d=0.0, placement=AffineMap.identity())
-        assert check_foci_on_bestfit(frame) == pytest.approx(0.0, abs=1e-12)
+        square = validate(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)))
+        assert check_foci_on_bestfit(square) == pytest.approx(0.0, abs=1e-12)
 
     def test_marden_rectangle_roots(self):
-        frame = ParallelogramFrame(l=1.0, k=2.0, d=0.0, placement=AffineMap.identity())
-        report = marden_check(frame)
+        report = marden_check(validate(((0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0))))
         roots = sorted(report.second_derivative_roots, key=lambda z: z.imag)
         assert roots[0] == pytest.approx(0.5 + 0.5j, abs=1e-12)
         assert roots[1] == pytest.approx(0.5 + 1.5j, abs=1e-12)
@@ -308,8 +326,7 @@ class TestFociAndMarden:
     def test_marden_roots_average_to_centroid(self):
         # Q'' roots always average to e1/4, the vertex centroid.
         rng = np.random.default_rng(21)
-        frame = parallelogram_frame(validate(sample_parallelogram_vertices(rng)))
-        report = marden_check(frame)
+        report = marden_check(validate(sample_parallelogram_vertices(rng)))
         mean_root = sum(report.second_derivative_roots) / 2.0
         mean_vertex = sum(report.vertices) / 4.0
         assert mean_root == pytest.approx(mean_vertex, abs=1e-12)
