@@ -5,8 +5,9 @@ process: its exit code, its stdout (for an SVG, the sha256 and the byte
 count) and the first line of its stderr. The documents are corpus.json's:
 the CLI tests' documents, quads within 1e-11 and 1e-9 of the trapezoid and
 parallelogram flags, 1e+-150 scalings, a thin sheared parallelogram at
-three scales, the 16 documents of perfbench's ``cold`` corpus for seed 801,
-and four refusals. The seeded suite and the conjecture scan run with
+three scales, GENERIC and the sheared parallelogram moved 1e4 and 1e6
+diameters off the origin, the 16 documents of perfbench's ``cold`` corpus
+for seed 801, and four refusals. The seeded suite and the conjecture scan run with
 --samples 200 at two seeds.
 
 Run from the repository root:
