@@ -31,7 +31,7 @@ _EXPORTS = {
             "ConicCoeffs ConicKind EllipseGeom TangencyKind TangencyResult "
             "classify_conic conic_to_ellipse conic_transform ellipse_area "
             "ellipse_transform foci geometry_to_conic line_tangency "
-            "proportional rotation_angle"
+            "proportional"
         ),
         (
             "errors",

@@ -7,8 +7,9 @@ full x*y coefficient, so the associated symmetric matrix is
      [c,   b,   e/2],
      [d/2, e/2, f  ]]
 
-Classification, ellipse geometry extraction (center, semi-axes, rotation
-angle), foci, line/conic tangency, and pushforward under affine maps.
+Classification, ellipse geometry extraction, foci, line/conic tangency,
+and pushforward under affine maps. Every ellipse's semi-axes and angle
+come from _placed_ellipse, which maps a centre and a shape matrix.
 """
 
 from __future__ import annotations
@@ -174,6 +175,28 @@ def _eigenframe(
     return lam_max, lam_min, f - tu - tv, abs(f) + tu + abs(tv)
 
 
+def _classified(coeffs: ConicCoeffs) -> tuple[ConicKind, tuple[float, ...], float, float]:
+    """classify_conic's kind, the sign-normalized coefficients, a*b - c^2
+    and the value at the center fc (0 without a center)."""
+    a, b, c, d, e, f = quad = _sign_normalized_quad(coeffs)
+    det2 = a * b - c * c
+    qscale = max(abs(a), abs(b), abs(c))
+    if abs(det2) < DEGENERACY_RTOL * qscale * qscale:
+        scale = coeffs.max_abs()
+        flat = abs(coeffs.det3()) < DEGENERACY_RTOL * scale * scale * scale
+        return (ConicKind.DEGENERATE if flat else ConicKind.PARABOLA), quad, det2, 0.0
+    _, _, fc, fc_terms = _eigenframe(a, b, c, d, e, f)
+    if abs(fc) <= DEGENERACY_RTOL * fc_terms:
+        kind = ConicKind.DEGENERATE
+    elif det2 < 0.0:
+        kind = ConicKind.HYPERBOLA
+    else:
+        # det2 > 0 and the quadratic trace is positive: a real ellipse needs
+        # a negative center value; otherwise the point set is empty.
+        kind = ConicKind.ELLIPSE if fc < 0.0 else ConicKind.DEGENERATE
+    return kind, quad, det2, fc
+
+
 def classify_conic(coeffs: ConicCoeffs) -> ConicKind:
     """Classify by the sign of a*b - c^2 and the value at the center.
 
@@ -185,98 +208,46 @@ def classify_conic(coeffs: ConicCoeffs) -> ConicKind:
     3x3 determinant is below DEGENERACY_RTOL of the cubed coefficient
     scale, and a parabola otherwise.
     """
-    a, b, c, d, e, f = _sign_normalized_quad(coeffs)
-    det2 = a * b - c * c
-    qscale = max(abs(a), abs(b), abs(c))
-    if abs(det2) < DEGENERACY_RTOL * qscale * qscale:
-        scale = coeffs.max_abs()
-        if abs(coeffs.det3()) < DEGENERACY_RTOL * scale * scale * scale:
-            return ConicKind.DEGENERATE
-        return ConicKind.PARABOLA
-    _, _, fc, fc_terms = _eigenframe(a, b, c, d, e, f)
-    if abs(fc) <= DEGENERACY_RTOL * fc_terms:
-        return ConicKind.DEGENERATE
-    if det2 < 0.0:
-        return ConicKind.HYPERBOLA
-    # det2 > 0 and the quadratic trace is positive: a real ellipse needs a
-    # negative center value; otherwise the point set is empty.
-    if fc < 0.0:
-        return ConicKind.ELLIPSE
-    return ConicKind.DEGENERATE
+    return _classified(coeffs)[0]
 
 
-def rotation_angle(coeffs: ConicCoeffs) -> float:
-    """Angle in [0, pi) from the x-axis to the major axis of an ellipse.
-
-    Case table on the sign-normalized quadratic part (positive trace):
-
-        c == 0, a < b   ->  0
-        c == 0, a > b   ->  pi/2
-        c != 0, a < b   ->  (1/2) * arccot((a - b) / (2c))        mod pi
-        c != 0, a > b   ->  pi/2 + (1/2) * arccot((a - b) / (2c))
-        c < 0,  a == b  ->  pi/4
-        c > 0,  a == b  ->  3*pi/4
-
-    arccot here takes values in (-pi/2, 0) u (0, pi/2), i.e. arctan of the
-    reciprocal; the a < b branch then lands in (-pi/4, pi/4) and is lifted
-    into [0, pi). a < b pairs with angles near the x-axis and a > b with
-    angles near the y-axis, which is why only the a > b branch carries the
-    pi/2 shift. Circles (c == 0, a == b) have no preferred axis; 0 is
-    returned.
-    """
-    if classify_conic(coeffs) is not ConicKind.ELLIPSE:
-        raise NotAnEllipse("rotation angle is defined for ellipses only")
-    a, b, c, *_ = _sign_normalized_quad(coeffs)
-    if c == 0.0:
-        return 0.0 if a <= b else math.pi / 2.0
-    if a == b:
-        return math.pi / 4.0 if c < 0.0 else 3.0 * math.pi / 4.0
-    acot = math.atan(2.0 * c / (a - b))
-    phi = 0.5 * acot
-    if a > b:
-        phi += math.pi / 2.0
-    elif phi < 0.0:
-        phi += math.pi
-    return phi
+def _placed_ellipse(
+    tmap: AffineMap, center: Point, s00: float, s01: float, s11: float, root_det: float
+) -> EllipseGeom:
+    """Image under ``tmap`` of the ellipse (x - c)^T S^-1 (x - c) = 1, with
+    S = [[s00, s01], [s01, s11]] and root_det = sqrt(det S). Its shape is
+    P = L S L^T, L the linear part of ``tmap``: major^2 is P's larger
+    eigenvalue and minor = |det L| root_det / major, which cancels nothing
+    however thin the ellipse; a circle gets angle 0."""
+    m00, m01, m10, m11 = tmap.m00, tmap.m01, tmap.m10, tmap.m11
+    u0, u1 = m00 * s00 + m01 * s01, m00 * s01 + m01 * s11
+    w0, w1 = m10 * s00 + m11 * s01, m10 * s01 + m11 * s11
+    p00, p01, p11 = u0 * m00 + u1 * m01, u0 * m10 + u1 * m11, w0 * m10 + w1 * m11
+    tr, disc = p00 + p11, math.hypot(p00 - p11, 2.0 * p01)
+    major = math.sqrt(0.5 * (tr + disc))
+    minor = min(abs(tmap.det()) * root_det / major, major)
+    phi = 0.5 * math.atan2(2.0 * p01, p00 - p11) if disc > 1e-14 * tr else 0.0
+    return EllipseGeom(center=tmap(center), a=major, b=minor, phi=phi)
 
 
 def conic_to_ellipse(coeffs: ConicCoeffs) -> EllipseGeom:
     """Recover center, semi-axes, and axis angle of a real ellipse.
 
-    The center solves the vanishing-gradient system; semi-axes come from the
-    eigenvalues of the quadratic part and the value at the center, both from
-    _eigenframe, and the axis angle from the eigenvector of the smaller
-    eigenvalue. The angle agrees with rotation_angle up to
-    floating-point error.
+    The center solves the vanishing-gradient system (Cramer's rule). With Q
+    the sign-normalized quadratic part and fc the value at the center from
+    _eigenframe, which keeps a thin ellipse's digits, the shape is
+    S = (-fc / det Q) adj Q, with sqrt(det S) = -fc / sqrt(det Q).
     """
-    if classify_conic(coeffs) is not ConicKind.ELLIPSE:
+    kind, (a, b, c, d, e, _), det2, fc = _classified(coeffs)
+    if kind is not ConicKind.ELLIPSE:
         raise NotAnEllipse("coefficients do not describe a real ellipse")
-    # classify_conic's ELLIPSE means det2 >= DEGENERACY_RTOL * max(|a|,|b|,|c|)^2
-    # > 0 and an fc < 0 that _eigenframe gives again below, so the centre
-    # system is nonsingular and both semi-axes are real.
-    a, b, c, d, e, f = _sign_normalized_quad(coeffs)
-    det2 = a * b - c * c
-    cx = (c * e - b * d) / (2.0 * det2)
-    cy = (c * d - a * e) / (2.0 * det2)
-    tr = a + b
-    disc = math.hypot(a - b, 2.0 * c)
-    # tr - disc cancels badly for thin ellipses, so _eigenframe recovers the
-    # small eigenvalue from the exact product lam_min * lam_max = det2. For
-    # a circle that quotient can round above lam_max, which would swap the
-    # axes.
-    lam_max, lam_min, fc, _ = _eigenframe(a, b, c, d, e, f)
-    lam_min = min(lam_min, lam_max)
-    major = math.sqrt(-fc / lam_min)
-    minor = math.sqrt(-fc / lam_max)
-    if disc <= 1e-14 * tr:
-        phi = 0.0
-    else:
-        # Eigenvector of lam_min; pick the better-conditioned expression.
-        v1 = (c, lam_min - a)
-        v2 = (lam_min - b, c)
-        v = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
-        phi = math.atan2(v[1], v[0]) % math.pi
-    return EllipseGeom(center=(cx, cy), a=major, b=minor, phi=phi)
+    # ELLIPSE means det2 >= DEGENERACY_RTOL * max(|a|,|b|,|c|)^2 > 0 and
+    # fc < 0, so the centre system is nonsingular and S is positive definite.
+    center = ((c * e - b * d) / (2.0 * det2), (c * d - a * e) / (2.0 * det2))
+    k = -fc / det2
+    return _placed_ellipse(
+        AffineMap.identity(), center, k * b, -k * c, k * a, -fc / math.sqrt(det2)
+    )
 
 
 def geometry_to_conic(geom: EllipseGeom) -> ConicCoeffs:
@@ -368,8 +339,16 @@ def conic_transform(coeffs: ConicCoeffs, tmap: AffineMap) -> ConicCoeffs:
 
 
 def ellipse_transform(geom: EllipseGeom, tmap: AffineMap) -> EllipseGeom:
-    """Image of an ellipse under an invertible affine map."""
-    return conic_to_ellipse(conic_transform(geometry_to_conic(geom), tmap))
+    """Image of an ellipse under an invertible affine map; a singular map
+    raises ValueError. It places the centre and the shape R diag(a^2, b^2)
+    R^T, R the rotation by phi, and forms no conic coefficients, whose
+    rounding grows with the square of the distance from the origin."""
+    if tmap.det() == 0.0:
+        raise ValueError("affine map is singular")
+    cp, sp = math.cos(geom.phi), math.sin(geom.phi)
+    a2, b2 = geom.a * geom.a, geom.b * geom.b
+    s00, s01, s11 = cp * cp * a2 + sp * sp * b2, cp * sp * (a2 - b2), sp * sp * a2 + cp * cp * b2
+    return _placed_ellipse(tmap, geom.center, s00, s01, s11, geom.a * geom.b)
 
 
 def proportional(c1: ConicCoeffs, c2: ConicCoeffs, tol: float = 1e-9) -> bool:

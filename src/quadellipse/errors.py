@@ -11,8 +11,8 @@ class NotAnEllipse(QuadEllipseError):
 
 class SingularCenterSystem(QuadEllipseError):
     """No longer raised: an ellipse's centre system is never singular once
-    classify_conic has accepted it. Kept so callers that still catch it keep
-    importing."""
+    classify_conic has accepted it. Kept because perfbench's ERROR_CLASSES
+    names it."""
 
 
 class DegenerateLine(QuadEllipseError):
@@ -41,7 +41,7 @@ class IsParallelogram(QuadEllipseError):
 
 class TrapezoidUnsupported(QuadEllipseError):
     """No longer raised: max_area_ellipse has a closed form for trapezoids.
-    Kept so callers that still catch it keep importing."""
+    Kept because perfbench's ERROR_CLASSES and Inscribe.op name it."""
 
 
 class ParameterOutOfRange(QuadEllipseError):

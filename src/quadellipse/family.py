@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .conic import ConicCoeffs, EllipseGeom, conic_transform
+from .conic import ConicCoeffs, EllipseGeom, _placed_ellipse, conic_transform
 from .errors import CenterOffLocus, IsParallelogram, ParameterOutOfRange
 from .geom import AffineMap, Point, golden_max, quadratic_roots
 from .quad import (
@@ -217,11 +217,10 @@ def _pencil_member(alpha: float, beta: float, back: AffineMap, lam: float) -> In
     without cancellation: with D = diag(lam p, (1 - lam) r), the quadratic
     part is adj S, the linear part -2 adj(D) c and the constant -det D. It
     touches side l at its pole ((cx l2 - dp l0) / w, (cy l2 - dr l1) / w),
-    w = cx l0 + cy l1 + l2 (module docstring). The centre and the tangency
-    points go through ``back``; the semi-axes and the angle are those of the
-    placed shape P = L S L^T, L the linear part of ``back``: major^2 is the
-    larger eigenvalue of P, minor = |det L| sqrt(det S) / major, which
-    cancels nothing however thin the member, and a circle gets angle 0.
+    w = cx l0 + cy l1 + l2 (module docstring). The tangency points go
+    through ``back``, and conic._placed_ellipse places the centre and the
+    shape S: its semi-axes and angle are those of L S L^T, L the linear part
+    of ``back``.
     """
     cx, cy, s00, s01, s11, det = _member_shape(alpha, beta, lam)
     if not det > 0.0:
@@ -238,18 +237,10 @@ def _pencil_member(alpha: float, beta: float, back: AffineMap, lam: float) -> In
     ):
         w = cx * l0 + cy * l1 + l2
         tangency.append(back(((cx * l2 - dp * l0) / w, (cy * l2 - dr * l1) / w)))
-    m00, m01, m10, m11 = back.m00, back.m01, back.m10, back.m11
-    u0, u1 = m00 * s00 + m01 * s01, m00 * s01 + m01 * s11
-    w0, w1 = m10 * s00 + m11 * s01, m10 * s01 + m11 * s11
-    p00, p01, p11 = u0 * m00 + u1 * m01, u0 * m10 + u1 * m11, w0 * m10 + w1 * m11
-    tr, disc = p00 + p11, math.hypot(p00 - p11, 2.0 * p01)
-    major = math.sqrt(0.5 * (tr + disc))
-    minor = min(abs(back.det()) * math.sqrt(det) / major, major)
-    phi = 0.5 * math.atan2(2.0 * p01, p00 - p11) if disc > 1e-14 * tr else 0.0
     return InscribedMember(
         parameter=lam,
         conic=conic_transform(conic, back).canonical(),
-        geom=EllipseGeom(center=back((cx, cy)), a=major, b=minor, phi=phi),
+        geom=_placed_ellipse(back, (cx, cy), s00, s01, s11, math.sqrt(det)),
         tangency=tuple(tangency),
     )
 

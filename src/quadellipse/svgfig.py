@@ -19,6 +19,7 @@ _ELLIPSE_STYLE = 'fill="none" stroke="#2563eb" stroke-width="1.5"'
 _LINE_STYLE = 'stroke="#dc2626" stroke-width="1" stroke-dasharray="6 4"'
 _POINT_STYLE = 'fill="#dc2626"'
 _POINT_RADIUS = 3.0
+_WIDTH = 640
 
 
 class Scene(NamedTuple):
@@ -80,7 +81,7 @@ def _clip_line(line: Line, x0: float, x1: float, y0: float, y1: float):
     return best
 
 
-def render_svg(scene: Scene, width: int = 640) -> bytes:
+def render_svg(scene: Scene) -> bytes:
     """Serialize a scene to a standalone SVG document.
 
     Raises EmptyScene when there is nothing to draw and DomainError when
@@ -113,7 +114,7 @@ def render_svg(scene: Scene, width: int = 640) -> bytes:
     x1 += pad
     y0 -= pad
     y1 += pad
-    scale = width / (x1 - x0)
+    scale = _WIDTH / (x1 - x0)
     height = (y1 - y0) * scale
 
     def to_screen(p: Point) -> tuple[float, float]:
@@ -121,8 +122,8 @@ def render_svg(scene: Scene, width: int = 640) -> bytes:
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {width} {_fmt(height)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_WIDTH} {_fmt(height)}">',
     ]
     for quad in scene.quads:
         joined = " ".join(

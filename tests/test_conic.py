@@ -17,7 +17,6 @@ from quadellipse.conic import (
     geometry_to_conic,
     line_tangency,
     proportional,
-    rotation_angle,
 )
 from quadellipse.errors import NotAnEllipse, QuadEllipseError
 from quadellipse.family import ellipse_at_center
@@ -25,6 +24,7 @@ from quadellipse.geom import AffineMap, Line
 from quadellipse.quad import diagonal_midpoints, validate
 
 UNIT_CIRCLE = ConicCoeffs(1.0, 1.0, 0.0, 0.0, 0.0, -1.0)
+_EPS = 2.0**-52
 
 
 class TestClassify:
@@ -99,28 +99,30 @@ class TestThinMembers:
 
 
 class TestRotationAngle:
+    """The major-axis angle, read as conic_to_ellipse(...).phi."""
+
     def test_axis_aligned_wide(self):
         # a < b: major axis along x, angle 0.
-        assert rotation_angle(ConicCoeffs(1.0, 4.0, 0.0, 0.0, 0.0, -4.0)) == 0.0
+        assert conic_to_ellipse(ConicCoeffs(1.0, 4.0, 0.0, 0.0, 0.0, -4.0)).phi == 0.0
 
     def test_axis_aligned_tall(self):
-        assert rotation_angle(ConicCoeffs(4.0, 1.0, 0.0, 0.0, 0.0, -4.0)) == pytest.approx(
+        assert conic_to_ellipse(ConicCoeffs(4.0, 1.0, 0.0, 0.0, 0.0, -4.0)).phi == pytest.approx(
             math.pi / 2.0
         )
 
     def test_diagonal_tilt(self):
         # Equal diagonal entries with cross term: axes at 45 degrees.
-        angle = rotation_angle(ConicCoeffs(2.0, 2.0, -0.5, 0.0, 0.0, -1.0))
+        angle = conic_to_ellipse(ConicCoeffs(2.0, 2.0, -0.5, 0.0, 0.0, -1.0)).phi
         assert angle == pytest.approx(math.pi / 4.0)
 
     def test_rejects_hyperbola(self):
         with pytest.raises(NotAnEllipse):
-            rotation_angle(ConicCoeffs(1.0, -1.0, 0.0, 0.0, 0.0, -1.0))
+            conic_to_ellipse(ConicCoeffs(1.0, -1.0, 0.0, 0.0, 0.0, -1.0))
 
     def test_matches_generated_geometry(self):
         for phi in (0.1, 0.7, 1.2, 2.0, 2.9):
             geom = EllipseGeom(center=(0.0, 0.0), a=3.0, b=1.0, phi=phi)
-            angle = rotation_angle(geometry_to_conic(geom))
+            angle = conic_to_ellipse(geometry_to_conic(geom)).phi
             assert angle == pytest.approx(phi, abs=1e-12)
 
 
@@ -282,6 +284,43 @@ class TestTransforms:
         assert ellipse_area(moved) == pytest.approx(
             abs(tmap.det()) * ellipse_area(geom), rel=1e-12
         )
+
+    # (a, b, phi) = (1, 0.3, 0.4) centred at (s, -0.7 s). Its conic
+    # coefficients carry rounding like eps s^2 (a = 0.99999989 at s = 1e4,
+    # NotAnEllipse at s = 1e6), so the image must not be taken from them.
+    FAR = (1e2, 1e4, 1e6, 1e12)
+
+    @pytest.mark.parametrize("s", FAR)
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (-3.0, 2.5)])
+    def test_ellipse_transform_rotation_far_from_origin(self, s, shift):
+        geom = EllipseGeom(center=(s, -0.7 * s), a=1.0, b=0.3, phi=0.4)
+        for theta in (0.3, 1.9, 4.0):
+            tmap = AffineMap.translation(shift[0] * s, shift[1] * s).compose(
+                AffineMap.rotation(theta)
+            )
+            moved = ellipse_transform(geom, tmap)
+            assert moved.a == pytest.approx(1.0, rel=4 * _EPS, abs=0.0)
+            assert moved.b == pytest.approx(0.3, rel=4 * _EPS, abs=0.0)
+            turn = (moved.phi - 0.4 - theta + math.pi / 2.0) % math.pi - math.pi / 2.0
+            assert abs(turn) <= 1e-15, (s, theta)
+
+    @pytest.mark.parametrize("s", FAR)
+    def test_ellipse_transform_shear_far_from_origin(self, s):
+        geom = EllipseGeom(center=(s, -0.7 * s), a=1.0, b=0.3, phi=0.4)
+        tmap = AffineMap(1.0, 0.7, 0.0, 1.0, 0.5 * s, 0.0)
+        moved = ellipse_transform(geom, tmap)
+        rot = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]])
+        lin = np.array([[1.0, 0.7], [0.0, 1.0]])
+        placed = lin @ rot @ np.diag([1.0, 0.09]) @ rot.T @ lin.T
+        minor, major = np.sqrt(np.linalg.eigvalsh(placed))
+        assert moved.a == pytest.approx(major, rel=1e-12)
+        assert moved.b == pytest.approx(minor, rel=1e-12)
+
+    def test_ellipse_transform_singular_map_raises(self):
+        geom = EllipseGeom(center=(1.0, -0.7), a=1.0, b=0.3, phi=0.4)
+        for tmap in (AffineMap(1.0, 2.0, 0.5, 1.0), AffineMap(0.0, 0.0, 0.0, 0.0, 1.0, 1.0)):
+            with pytest.raises(ValueError):
+                ellipse_transform(geom, tmap)
 
 
 class TestCanonicalAndProportional:

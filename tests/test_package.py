@@ -25,8 +25,8 @@ SHEARED = validate([(0, 0), (2, 0), (3, 1), (1, 1)])
 
 
 class TestExportTable:
-    def test_ninety_four_names(self):
-        assert len(quadellipse.__all__) == len(set(quadellipse.__all__)) == 94
+    def test_ninety_three_names(self):
+        assert len(quadellipse.__all__) == len(set(quadellipse.__all__)) == 93
 
     def test_each_name_resolves_to_its_submodule_attribute(self):
         for name, module in quadellipse._EXPORTS.items():

@@ -275,6 +275,24 @@ class TestInequalityAndInterval:
             assert failed == 0, label
             assert passed == 50
 
+    def test_interval_claim_draws_its_own_pairs(self, monkeypatch):
+        # The suite's first claim draws its pairs from default_rng(seed),
+        # walking the regimes in the same order; drawing them again would
+        # re-test exactly those pairs.
+        seen = []
+        locus_line = verify.locus_line
+
+        def recording(s, t):
+            seen.append((s, t))
+            return locus_line(s, t)
+
+        monkeypatch.setattr(verify, "locus_line", recording)
+        check_lemma22(8, seed=42)
+        rng = np.random.default_rng(42)
+        first = [sample_canonical_pair(rng, verify._PAIR_REGIMES[i % 4]) for i in range(8)]
+        assert len(seen) == 8
+        assert not set(seen) & set(first)
+
 
 class TestFociAndMarden:
     def test_rectangle_foci_identity(self):
