@@ -8,7 +8,9 @@ parallelogram flags, 1e+-150 scalings, a thin sheared parallelogram at
 three scales, GENERIC and the sheared parallelogram moved 1e4 and 1e6
 diameters off the origin, the 16 documents of perfbench's ``cold`` corpus
 for seed 801, and four refusals. The seeded suite and the conjecture scan run with
---samples 200 at two seeds.
+--samples 200 at two seeds, and the scan once more with --samples 600 at
+seed 42: the scan draws and scores its slots in blocks of 256, and only
+this run crosses a block edge.
 
 Run from the repository root:
 
@@ -50,7 +52,7 @@ SEEDED_RUNS = tuple(
     (command, "--samples", "200", "--seed", seed)
     for command in ("verify", "conjecture")
     for seed in ("42", "7")
-)
+) + (("conjecture", "--samples", "600", "--seed", "42"),)
 
 
 def write_documents(folder: Path) -> dict[str, Path]:
