@@ -12,8 +12,7 @@ from quadellipse.errors import (
     NotConvex,
     NotParallelogram,
 )
-from quadellipse import quad
-from quadellipse.geom import cross2, distance, sub2
+from quadellipse.geom import cross2, distance
 from quadellipse.quad import (
     ConvexQuad,
     diagonal_frame,
@@ -26,7 +25,12 @@ from quadellipse.quad import (
     validate,
 )
 from quadellipse.family import max_area_ellipse
-from quadellipse.verify import circumscribed_min_ratio, scan_sample_vertices
+from quadellipse.verify import (
+    circumscribed_min_ratio,
+    sample_parallelogram_vertices,
+    scan_sample_vertices,
+)
+from oracles import reference_validate
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 KITE = ((0.0, 0.0), (2.0, -1.0), (4.0, 0.0), (2.0, 3.0))
@@ -129,58 +133,19 @@ class TestFloatRange:
             validate(((0.0, 0.0), (1e-150, -1e-160), (2e-150, 0.0), (1e-150, 1e-150)))
 
 
-def reference_validate(points) -> ConvexQuad:
-    """validate as it was before its distances and side lengths were
-    shared between its tests: the oracle for TestValidateMatchesReference."""
-    pts = [(float(p[0]), float(p[1])) for p in points]
-    if len(pts) != 4:
-        raise DegenerateVertices(f"exactly four vertices required, got {len(pts)}")
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
-        raise DegenerateVertices("vertices must be finite")
-    diam = max(distance(pts[i], pts[j]) for i in range(4) for j in range(i + 1, 4))
-    if diam == 0.0:
-        raise DegenerateVertices("all vertices coincide")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if distance(pts[i], pts[j]) < quad._COINCIDENT_RTOL * diam:
-                raise DegenerateVertices(f"vertices {i} and {j} coincide")
-    cx = sum(x for x, _ in pts) / 4.0
-    cy = sum(y for _, y in pts) / 4.0
-    pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    start = min(range(4), key=lambda i: pts[i])
-    pts = pts[start:] + pts[:start]
-    edges = [sub2(pts[(i + 1) % 4], pts[i]) for i in range(4)]
-    for i in range(4):
-        u, w = edges[i], edges[(i + 1) % 4]
-        z = cross2(u, w)
-        if abs(z) <= quad._COLLINEAR_RTOL * math.hypot(*u) * math.hypot(*w):
-            raise DegenerateVertices("three vertices are collinear")
-        if z < 0.0:
-            raise NotConvex("vertices are not in convex position")
-
-    def parallel(u, v):
-        return abs(cross2(u, v)) < quad.PARALLEL_RTOL * math.hypot(*u) * math.hypot(*v)
-
-    para02 = parallel(edges[0], edges[2])
-    para13 = parallel(edges[1], edges[3])
-    lengths = [math.hypot(*e) for e in edges]
-    pitot = abs((lengths[0] + lengths[2]) - (lengths[1] + lengths[3]))
-    return ConvexQuad(
-        vertices=tuple(pts),
-        is_parallelogram=para02 and para13,
-        is_trapezoid=para02 or para13,
-        is_tangential=pitot < quad.PITOT_RTOL * sum(lengths),
-    )
-
-
 def validate_inputs():
-    """About 27,000 point sets, valid and invalid, in every input form."""
+    """About 34,600 point sets, valid and invalid, in every input form."""
     rng = np.random.default_rng(808)
     for _ in range(3000):
         pts = rng.random((4, 2))
         yield pts
         yield pts.tolist()
         yield (pts - 0.5) * 10.0 ** rng.integers(-9, 10) + rng.integers(-3, 4) * 1e6
+        yield (pts - 0.5) * 10.0 ** rng.uniform(-8.0, 8.0) + rng.uniform(-1e6, 1e6, 2)
+    for _ in range(1500):
+        verts = sample_parallelogram_vertices(rng)
+        yield verts
+        yield [verts[i] for i in rng.permutation(4)]
     for seed in (7, 42):
         for index in range(1500):
             verts = scan_sample_vertices(seed, index)
@@ -203,6 +168,10 @@ def validate_inputs():
         mid = a + u * (b - a) + rng.choice([0.0, 1e-16, 1e-13, 1e-11]) * rng.standard_normal(2)
         yield np.array([a, b, mid, c])[rng.permutation(4)]
     for _ in range(1000):
+        # A vertex on the segment joining its two neighbours.
+        a, b, c = rng.random((3, 2))
+        yield [a, a + rng.uniform(0.0, 1.0) * (b - a), b, c]
+    for _ in range(1000):
         # Parallelograms and trapezoids near the parallel and Pitot tolerances.
         slot = 4 * int(rng.integers(1, 10**6)) + 2
         v0, v1, v2, v3 = (np.array(v) for v in scan_sample_vertices(3, slot))
@@ -220,6 +189,12 @@ def validate_inputs():
         yield rng.random((3 + 2 * (k % 2), 2))
     for c in (0.0, -0.0, 1.0, 1e300):
         yield [(c, c)] * 4
+    for _ in range(200):
+        # Diameters either side of the normal-range limits, and a vertex
+        # triangle with a subnormal doubled area.
+        yield rng.random((4, 2)) * 10.0 ** rng.choice([rng.uniform(-160, -150), rng.uniform(150, 160)])
+        h = 10.0 ** rng.uniform(-162.0, -157.0)
+        yield [(0.0, 0.0), (1e-150, -h), (2e-150, 0.0), (1e-150, 1e-150)]
     for _ in range(200):
         # Signed zeros, which sum() and + treat alike only through the
         # start value.
@@ -247,7 +222,7 @@ class TestValidateMatchesReference:
         assert count >= 20_000
         # Both refusal classes, and every flag combination but a tangential
         # trapezoid that is not a parallelogram, were exercised.
-        assert {DegenerateVertices, NotConvex} <= kinds
+        assert {DegenerateVertices, DomainError, NotConvex} <= kinds
         assert {
             (False, False, False),
             (False, False, True),
