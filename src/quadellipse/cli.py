@@ -136,7 +136,7 @@ def _cmd_max_ellipse(args) -> int:
 
     q, doc_id = _load_document(args.document)
     member = max_area_ellipse(q)
-    conic = member.conic.canonical()
+    conic = member.conic
     area = ellipse_area(member.geom)
     ratio = area / quad_area(q)
     f1, f2 = foci(member.geom)

@@ -96,11 +96,20 @@ class ConicCoeffs(_ConicCoeffs):
         Ties go to the earliest coefficient in (a, b, c, d, e, f) order, which
         makes the representative deterministic and comparison-friendly; a
         coefficient within 1e-12 of the largest magnitude ties, so rounding
-        in the last bits cannot flip the representative's sign.
+        in the last bits cannot flip the representative's sign. The pivot is
+        set to exactly 1.0 and the others are scaled by 1/pivot, so a second
+        call scales by exactly 1 and changes nothing: pivot * (1/pivot) is
+        not always 1 in floating point.
         """
-        coeffs = self.as_tuple()
-        top = max(map(abs, coeffs))
-        return self.scaled(1.0 / next(v for v in coeffs if abs(v) >= (1.0 - 1e-12) * top))
+        a, b, c, d, e, f = self
+        top = (1.0 - 1e-12) * max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
+        for pivot, v in enumerate(self):
+            if abs(v) >= top:
+                break
+        k = 1.0 / v
+        scaled = [k * a, k * b, k * c, k * d, k * e, k * f]
+        scaled[pivot] = 1.0
+        return ConicCoeffs(*scaled)
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)

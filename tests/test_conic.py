@@ -19,7 +19,7 @@ from quadellipse.conic import (
     proportional,
 )
 from quadellipse.errors import NotAnEllipse, QuadEllipseError
-from quadellipse.family import ellipse_at_center
+from quadellipse.family import ellipse_at_center, max_area_ellipse
 from quadellipse.geom import AffineMap, Line
 from quadellipse.quad import diagonal_midpoints, validate
 
@@ -332,6 +332,27 @@ class TestCanonicalAndProportional:
     def test_canonical_idempotent(self):
         conic = ConicCoeffs(2.0, -8.0, 1.0, 3.0, -5.0, 4.0).canonical()
         assert conic.canonical() == conic
+
+    def test_canonical_is_idempotent_everywhere(self):
+        # pivot * (1/pivot) is not always 1 in floating point; the pivot is
+        # set to 1.0 instead, so a second call scales by exactly 1. Random
+        # coefficients, and maximal members of random quads as the CLI
+        # prints them.
+        rng = np.random.default_rng(17)
+        conics = [
+            ConicCoeffs(*(rng.standard_normal(6) * 10.0 ** rng.uniform(-5.0, 5.0)).tolist())
+            for _ in range(10_000)
+        ]
+        while len(conics) < 20_000:
+            pts = (rng.random((4, 2)) - 0.5) * 10.0 ** rng.uniform(-5.0, 5.0)
+            try:
+                conics.append(max_area_ellipse(validate(pts + rng.uniform(-1e3, 1e3, 2))).conic)
+            except QuadEllipseError:
+                continue
+        for conic in conics:
+            once = conic.canonical()
+            assert once.canonical() == once, conic
+            assert 1.0 in once.as_tuple()
 
     def test_proportional_ignores_scale_and_sign(self):
         c1 = ConicCoeffs(1.0, 2.0, 0.5, -1.0, 0.0, 3.0)
