@@ -113,8 +113,10 @@ def validate(points) -> ConvexQuad:
     convex position raises NotConvex. A diameter outside [_MIN_DIAMETER,
     _MAX_DIAMETER], or a vertex triangle whose doubled area is subnormal,
     raises DomainError: products of coordinate differences would leave the
-    normal float range. The six vertex distances and the four side lengths
-    are each computed once and shared by every test using them.
+    normal float range. One pass: the six vertex distances and the four
+    sides, held as scalars, are computed once and shared by every test, and
+    the pairs are searched for the coincident one only when the closest
+    pair fails.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     if len(pts) != 4:
@@ -134,38 +136,44 @@ def validate(points) -> ConvexQuad:
             f"diameter {diam:.3g} is outside [{_MIN_DIAMETER:.3g}, {_MAX_DIAMETER:.3g}]: "
             "products of coordinate differences would leave the normal float range"
         )
-    for (i, j), gap in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), gaps):
-        if gap < _COINCIDENT_RTOL * diam:
-            raise DegenerateVertices(f"vertices {i} and {j} coincide")
+    if min(gaps) < _COINCIDENT_RTOL * diam:
+        for (i, j), gap in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), gaps):
+            if gap < _COINCIDENT_RTOL * diam:
+                raise DegenerateVertices(f"vertices {i} and {j} coincide")
     cx = (x0 + x1 + x2 + x3) / 4.0
     cy = (y0 + y1 + y2 + y3) / 4.0
     pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
     start = pts.index(min(pts))
     pts = pts[start:] + pts[:start]
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
-    edges = ((x1 - x0, y1 - y0), (x2 - x1, y2 - y1), (x3 - x2, y3 - y2), (x0 - x3, y0 - y3))
-    lengths = [math.hypot(*e) for e in edges]
-    for i in range(4):
-        (ux, uy), (wx, wy) = edges[i], edges[i - 3]
-        z = ux * wy - uy * wx
-        if abs(z) <= _COLLINEAR_RTOL * lengths[i] * lengths[i - 3]:
+    ex0, ey0, ex1, ey1 = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+    ex2, ey2, ex3, ey3 = x3 - x2, y3 - y2, x0 - x3, y0 - y3
+    l0, l1 = math.hypot(ex0, ey0), math.hypot(ex1, ey1)
+    l2, l3 = math.hypot(ex2, ey2), math.hypot(ex3, ey3)
+    # Doubled area of the triangle at each vertex, from its incoming and
+    # outgoing sides, with its collinearity threshold.
+    for vertex, z, tol in (
+        (1, ex0 * ey1 - ey0 * ex1, _COLLINEAR_RTOL * l0 * l1),
+        (2, ex1 * ey2 - ey1 * ex2, _COLLINEAR_RTOL * l1 * l2),
+        (3, ex2 * ey3 - ey2 * ex3, _COLLINEAR_RTOL * l2 * l3),
+        (0, ex3 * ey0 - ey3 * ex0, _COLLINEAR_RTOL * l3 * l0),
+    ):
+        if abs(z) <= tol:
             raise DegenerateVertices("three vertices are collinear")
         if z < _MIN_NORMAL:
             if z < 0.0:
                 raise NotConvex("vertices are not in convex position")
             raise DomainError(
-                f"the triangle at vertex {(i + 1) % 4} has doubled area {z:.3g}, "
+                f"the triangle at vertex {vertex} has doubled area {z:.3g}, "
                 "below the normal float range"
             )
-    e0, e1, e2, e3 = edges
-    l0, l1, l2, l3 = lengths
-    para02 = abs(cross2(e0, e2)) < PARALLEL_RTOL * l0 * l2
-    para13 = abs(cross2(e1, e3)) < PARALLEL_RTOL * l1 * l3
+    para02 = abs(ex0 * ey2 - ey0 * ex2) < PARALLEL_RTOL * l0 * l2
+    para13 = abs(ex1 * ey3 - ey1 * ex3) < PARALLEL_RTOL * l1 * l3
     return ConvexQuad(
-        vertices=tuple(pts),
-        is_parallelogram=para02 and para13,
-        is_trapezoid=para02 or para13,
-        is_tangential=abs((l0 + l2) - (l1 + l3)) < PITOT_RTOL * (l0 + l1 + l2 + l3),
+        tuple(pts),
+        para02 and para13,
+        para02 or para13,
+        abs((l0 + l2) - (l1 + l3)) < PITOT_RTOL * (l0 + l1 + l2 + l3),
     )
 
 

@@ -73,6 +73,8 @@ _UNIT_MARGIN = 0.05
 
 _SCAN_BIN_WIDTH = 0.1
 _SCAN_BINS = 16
+# Slots conjecture_scan draws before it scores them.
+_SCAN_BLOCK = 256
 
 
 class ProofVars(NamedTuple):
@@ -441,6 +443,16 @@ def conjecture_scan(n: int, seed: int, candidate_path: str | None = None) -> Con
     (and appended to candidate_path as JSON lines when given) rather than
     raised: the bound is conjectural, so the harness gathers evidence
     instead of asserting.
+
+    Slots go in blocks of _SCAN_BLOCK, each in two phases: draw every
+    slot's quad (_scan_slot, then validate where the draw did not), then
+    score each quad with circumscribed_min_ratio. The results are folded
+    into the histogram, minimum and candidates in slot order, so the
+    report is the one a slot-by-slot loop gives. Scoring quads back to
+    back, not between seedings of a generator, keeps the ratio's code and
+    data warm. The block is a fixed size, not an option, so memory stays
+    bounded for any n. The ratio is still looked up through this module's
+    name, so a test's stub or a tracer's span bound here reaches every call.
     """
     if n < 1:
         raise DomainError("need at least one sample")
@@ -448,18 +460,21 @@ def conjecture_scan(n: int, seed: int, candidate_path: str | None = None) -> Con
     min_ratio = math.inf
     argmin: tuple[Point, Point, Point, Point] | None = None
     candidates: list[tuple[int, tuple[Point, Point, Point, Point], float]] = []
-    for i in range(n):
-        verts, q = _scan_slot(seed, i)
-        if q is None:
-            q = validate(verts)
-        ratio = circumscribed_min_ratio(q)
-        slot = int((ratio - HALF_PI) / _SCAN_BIN_WIDTH)
-        histogram[min(max(slot, 0), _SCAN_BINS - 1)] += 1
-        if ratio < min_ratio:
-            min_ratio = ratio
-            argmin = q.vertices
-        if ratio < HALF_PI - CONJECTURE_TOL:
-            candidates.append((i, q.vertices, ratio))
+    for start in range(0, n, _SCAN_BLOCK):
+        slots = range(start, min(start + _SCAN_BLOCK, n))
+        quads = []
+        for i in slots:
+            verts, q = _scan_slot(seed, i)
+            quads.append(validate(verts) if q is None else q)
+        ratios = [circumscribed_min_ratio(q) for q in quads]
+        for i, q, ratio in zip(slots, quads, ratios):
+            slot = int((ratio - HALF_PI) / _SCAN_BIN_WIDTH)
+            histogram[min(max(slot, 0), _SCAN_BINS - 1)] += 1
+            if ratio < min_ratio:
+                min_ratio = ratio
+                argmin = q.vertices
+            if ratio < HALF_PI - CONJECTURE_TOL:
+                candidates.append((i, q.vertices, ratio))
     if candidate_path is not None and candidates:
         with open(candidate_path, "a", encoding="utf-8") as fh:
             for index, verts, ratio in candidates:

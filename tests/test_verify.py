@@ -733,6 +733,45 @@ class TestScanPinned:
         assert len(calls) - sampling == sampling + unvalidated
 
 
+class TestScanBlocks:
+    def test_block_edges_keep_slot_order(self, monkeypatch):
+        # The slots either side of each block edge score pi/2 - 1, so the
+        # report shows whether the folds kept each slot's index and order.
+        block = verify._SCAN_BLOCK
+        n, seed = 2 * block + 3, 42
+        low = HALF_PI - 1.0
+        flagged = (block - 1, block, 2 * block - 1, 2 * block)
+        quads = []
+        for i in range(n):
+            verts, q = _scan_slot(seed, i)
+            quads.append(validate(verts) if q is None else q)
+        flagged_vertices = {quads[i].vertices for i in flagged}
+        real = verify.circumscribed_min_ratio
+        calls = []
+
+        def stub(q):
+            calls.append(q)
+            return low if q.vertices in flagged_vertices else real(q)
+
+        monkeypatch.setattr(verify, "circumscribed_min_ratio", stub)
+        report = conjecture_scan(n, seed)
+        assert len(calls) == n
+        assert report.candidates == tuple((i, quads[i].vertices, low) for i in flagged)
+        assert report.min_ratio == low
+        assert report.argmin_vertices == quads[flagged[0]].vertices
+        histogram = [0] * len(report.histogram)
+        for q in quads:
+            slot = int((stub(q) - HALF_PI) / report.bin_width)
+            histogram[min(max(slot, 0), len(histogram) - 1)] += 1
+        assert report.histogram == tuple(histogram)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_report_does_not_depend_on_the_block(self, monkeypatch, block):
+        want = conjecture_scan(40, seed=3)
+        monkeypatch.setattr(verify, "_SCAN_BLOCK", block)
+        assert conjecture_scan(40, seed=3) == want
+
+
 class TestSamplers:
     def test_canonical_pair_regimes(self):
         rng = np.random.default_rng(40)
