@@ -97,9 +97,7 @@ class ConicCoeffs(_ConicCoeffs):
         makes the representative deterministic and comparison-friendly; a
         coefficient within 1e-12 of the largest magnitude ties, so rounding
         in the last bits cannot flip the representative's sign. The pivot is
-        set to exactly 1.0 and the others are scaled by 1/pivot, so a second
-        call scales by exactly 1 and changes nothing: pivot * (1/pivot) is
-        not always 1 in floating point.
+        set to 1.0, not to pivot * (1/pivot), so a second call changes nothing.
         """
         a, b, c, d, e, f = self
         top = (1.0 - 1e-12) * max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
