@@ -10,7 +10,9 @@ diameters off the origin, the 16 documents of perfbench's ``cold`` corpus
 for seed 801, and four refusals. The seeded suite and the conjecture scan run with
 --samples 200 at two seeds, and the scan once more with --samples 600 at
 seed 42: the scan draws and scores its slots in blocks of 256, and only
-this run crosses a block edge.
+this run crosses a block edge. Two more scans of 300 slots take seeds of
+more than one 32-bit word: 2^32, and 2^96 + 5, whose four words and the
+slot index outgrow the four-word pool of numpy's seed hash.
 
 Run from the repository root:
 
@@ -52,7 +54,11 @@ SEEDED_RUNS = tuple(
     (command, "--samples", "200", "--seed", seed)
     for command in ("verify", "conjecture")
     for seed in ("42", "7")
-) + (("conjecture", "--samples", "600", "--seed", "42"),)
+) + (
+    ("conjecture", "--samples", "600", "--seed", "42"),
+    ("conjecture", "--samples", "300", "--seed", "4294967296"),
+    ("conjecture", "--samples", "300", "--seed", "79228162514264337593543950341"),
+)
 
 
 def write_documents(folder: Path) -> dict[str, Path]:
