@@ -19,6 +19,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,6 +77,20 @@ _SCAN_BIN_WIDTH = 0.1
 _SCAN_BINS = 16
 # Slots conjecture_scan draws before it scores them.
 _SCAN_BLOCK = 256
+_UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+# numpy's SeedSequence and pcg64_set_seed, which _slot_states runs for a
+# block of slots: the entropy pool's size in 32-bit words, the
+# (initial constant, multiplier) of the hash that fills and mixes the pool
+# and of the one that draws from it, the two-word mix's multipliers, and
+# PCG64's 128-bit LCG multiplier.
+_POOL_WORDS = 4
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_DRAW_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_U32 = (1 << 32) - 1
+_U128 = (1 << 128) - 1
 
 
 class ProofVars(NamedTuple):
@@ -389,8 +405,7 @@ def sample_parallelogram_vertices(rng: np.random.Generator) -> tuple[Point, Poin
     parallel to the last floating-point bit. Coordinates are Python floats.
     """
     while True:
-        ux, uy = rng.uniform(-1.0, 1.0, 2).tolist()
-        wx, wy = rng.uniform(-1.0, 1.0, 2).tolist()
+        ux, uy, wx, wy = rng.uniform(-1.0, 1.0, 4).tolist()
         if math.hypot(ux, uy) < 0.25 or math.hypot(wx, wy) < 0.25:
             continue
         if abs(ux * wy - uy * wx) < 0.1:
@@ -405,21 +420,40 @@ def scan_sample_vertices(seed: int, index: int) -> tuple[Point, Point, Point, Po
 
     Slot 0 is the unit square. Later slots rotate through four strata:
     two of free convex quads, one of exact parallelograms, and one of
-    parallelograms with 1e-3 vertex noise. Each slot draws from its own
-    generator keyed by (seed, index), so samples are independent of
-    evaluation order.
+    parallelograms with 1e-3 vertex noise. Slot ``index`` draws from its
+    own stream, np.random.default_rng((seed, index)), so samples are
+    independent of evaluation order. This function builds that generator
+    itself; conjecture_scan reproduces its state without it. The seed must
+    be a non-negative integer (DomainError otherwise).
     """
-    return _scan_slot(seed, index)[0]
-
-
-def _scan_slot(seed: int, index: int) -> tuple[tuple[Point, Point, Point, Point], ConvexQuad | None]:
-    """Vertices of one scan slot, plus the validated quad when drawing them
-    already validated one (free quads and noisy parallelograms)."""
-    if index == 0:
-        return ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), None
     import numpy as np
 
-    rng = np.random.default_rng((seed, index))
+    seed = _scan_seed(seed)
+    return _scan_slot(np.random.default_rng((seed, index)), index)[0]
+
+
+def _scan_seed(seed: int) -> int:
+    """The scan's seed as an int, refused with DomainError unless it is a
+    non-negative integer."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"scan seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise DomainError(f"scan seed must be non-negative, got {seed}")
+    return seed
+
+
+def _scan_slot(rng: np.random.Generator, index: int) -> tuple[tuple[Point, Point, Point, Point], ConvexQuad | None]:
+    """Vertices of scan slot ``index`` drawn from ``rng``, plus the validated
+    quad when drawing them already validated one (free quads and noisy
+    parallelograms).
+
+    ``rng`` is the slot's stream, np.random.default_rng((seed, index)), or a
+    generator in that very state (see _slot_states). Slot 0 draws nothing.
+    """
+    if index == 0:
+        return _UNIT_SQUARE, None
     stratum = index % 4
     if stratum == 2:
         return sample_parallelogram_vertices(rng), None
@@ -436,35 +470,128 @@ def _scan_slot(seed: int, index: int) -> tuple[tuple[Point, Point, Point, Point]
     return q.vertices, q
 
 
+def _word_count(value: int) -> int:
+    """32-bit words numpy's SeedSequence takes a non-negative int as."""
+    return max(1, (value.bit_length() + 31) // 32)
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """(xor, multiply) constants of successive SeedSequence hashmix calls."""
+    h = init
+    while True:
+        step = h * mult & _U32
+        yield h, step
+        h = step
+
+
+def _slot_states(seed: int, slots: range) -> list[dict]:
+    """PCG64 state of np.random.default_rng((seed, i)) for each i in slots.
+
+    default_rng((seed, i)) seeds PCG64 through numpy's SeedSequence: the
+    entropy is seed's 32-bit words, low word first, then i's. A hash fills
+    a pool of four words from it and mixes the pool; words past the fourth
+    are then mixed into every pool word. A second hash draws four 64-bit
+    words from the pool, and pcg64_set_seed turns them into the state and
+    increment. The hashes' constants do not depend on the data, so this
+    runs them on a (words, slots) uint32 array for the whole range at once,
+    then does the 128-bit step in Python ints. A state equals
+    default_rng((seed, i)).bit_generator.state and loads into a PCG64
+    through its state setter.
+    """
+    import numpy as np
+
+    u32 = np.uint32
+    pool_hash = _hash_constants(*_POOL_HASH)
+    draw_hash = _hash_constants(*_DRAW_HASH)
+
+    def hashmix(words, consts):
+        xor, mul = (np.array(c, dtype=u32)[:, None] for c in zip(*consts))
+        mixed = (words ^ xor) * mul
+        return mixed ^ (mixed >> u32(16))
+
+    def mix(x, y):
+        mixed = u32(_MIX_LEFT) * x - u32(_MIX_RIGHT) * y
+        return mixed ^ (mixed >> u32(16))
+
+    def take(consts, k):
+        return [next(consts) for _ in range(k)]
+
+    index = np.arange(slots.start, slots.stop, dtype=np.uint64)
+    seed_words = [seed >> (32 * k) & _U32 for k in range(_word_count(seed))]
+    index_words = _word_count(slots.stop - 1)
+    # A slot's missing words below the pool size hash exactly as zeros do.
+    entropy = np.zeros((max(_POOL_WORDS, len(seed_words) + index_words), len(index)), dtype=u32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=u32)[:, None]
+    for k in range(index_words):
+        entropy[len(seed_words) + k] = index >> np.uint64(32 * k) & np.uint64(_U32)
+    pool = hashmix(entropy[:_POOL_WORDS], take(pool_hash, _POOL_WORDS))
+    for src in range(_POOL_WORDS):
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], take(pool_hash, len(dst))))
+    for src in range(_POOL_WORDS, len(entropy)):
+        mixed = mix(pool, hashmix(entropy[src], take(pool_hash, _POOL_WORDS)))
+        k = src - len(seed_words)
+        # Index word k >= 1 exists only in slots at or past 2^(32k).
+        pool = mixed if k < 1 else np.where(index >> np.uint64(32 * k) > 0, mixed, pool)
+    # Four 64-bit words, each two 32-bit draws low first, cycling the pool.
+    drawn = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], take(draw_hash, 8)).astype(np.uint64)
+    words = (drawn[0::2] | drawn[1::2] << np.uint64(32)).T.tolist()
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in words:
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _U128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _U128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
 def conjecture_scan(n: int, seed: int, candidate_path: str | None = None) -> ConjectureReport:
     """Scan n seeded quads for circumscribed ratios below pi/2.
 
     Any ratio under pi/2 - 1e-9 is recorded as a counterexample candidate
     (and appended to candidate_path as JSON lines when given) rather than
     raised: the bound is conjectural, so the harness gathers evidence
-    instead of asserting.
+    instead of asserting. The seed must be a non-negative integer.
 
-    Slots go in blocks of _SCAN_BLOCK, each in two phases: draw every
-    slot's quad (_scan_slot, then validate where the draw did not), then
-    score each quad with circumscribed_min_ratio. The results are folded
+    Slot i's quad is the one drawn from np.random.default_rng((seed, i)),
+    as scan_sample_vertices draws it. Slots go in blocks of _SCAN_BLOCK,
+    each in two phases. First every slot's quad is drawn: _slot_states
+    computes the block's generator states in one vectorised pass of
+    numpy's seeding hash, and each is loaded in turn into one PCG64 that
+    _scan_slot draws from; validate runs where the draw did not. Then each
+    quad is scored with circumscribed_min_ratio. The results are folded
     into the histogram, minimum and candidates in slot order, so the
     report is the one a slot-by-slot loop gives. Scoring quads back to
-    back, not between seedings of a generator, keeps the ratio's code and
-    data warm. The block is a fixed size, not an option, so memory stays
-    bounded for any n. The ratio is still looked up through this module's
-    name, so a test's stub or a tracer's span bound here reaches every call.
+    back keeps the ratio's code and data warm. The block is a fixed size,
+    not an option, so memory stays bounded for any n. The ratio is still
+    looked up through this module's name, so a test's stub or a tracer's
+    span bound here reaches every call.
     """
+    import numpy as np
+
+    seed = _scan_seed(seed)
     if n < 1:
         raise DomainError("need at least one sample")
     histogram = [0] * _SCAN_BINS
     min_ratio = math.inf
     argmin: tuple[Point, Point, Point, Point] | None = None
     candidates: list[tuple[int, tuple[Point, Point, Point, Point], float]] = []
+    # Every slot loads its own state before it draws, so this generator's
+    # initial seed is never drawn from.
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
     for start in range(0, n, _SCAN_BLOCK):
         slots = range(start, min(start + _SCAN_BLOCK, n))
         quads = []
-        for i in slots:
-            verts, q = _scan_slot(seed, i)
+        for i, state in zip(slots, _slot_states(seed, slots)):
+            bitgen.state = state
+            verts, q = _scan_slot(rng, i)
             quads.append(validate(verts) if q is None else q)
         ratios = [circumscribed_min_ratio(q) for q in quads]
         for i, q, ratio in zip(slots, quads, ratios):

@@ -682,6 +682,11 @@ _PINNED_SCANS_2000 = {
 }
 
 
+def scan_slot(seed, index):
+    """_scan_slot drawing from the slot's own stream, default_rng((seed, index))."""
+    return _scan_slot(np.random.default_rng((seed, index)), index)
+
+
 class TestScanPinned:
     @pytest.mark.parametrize("seed", sorted(_PINNED_SCANS_2000))
     def test_2000_slot_reports_are_unchanged(self, seed):
@@ -717,7 +722,7 @@ class TestScanPinned:
 
     def test_each_slot_is_validated_once(self, monkeypatch):
         for index in range(200):
-            verts, q = _scan_slot(42, index)
+            verts, q = scan_slot(42, index)
             assert q is None or q == validate(verts)
         calls = []
         real = verify.validate
@@ -727,7 +732,7 @@ class TestScanPinned:
             return real(points)
 
         monkeypatch.setattr(verify, "validate", counting)
-        unvalidated = sum(_scan_slot(42, index)[1] is None for index in range(200))
+        unvalidated = sum(scan_slot(42, index)[1] is None for index in range(200))
         sampling = len(calls)
         conjecture_scan(200, seed=42)
         assert len(calls) - sampling == sampling + unvalidated
@@ -743,7 +748,7 @@ class TestScanBlocks:
         flagged = (block - 1, block, 2 * block - 1, 2 * block)
         quads = []
         for i in range(n):
-            verts, q = _scan_slot(seed, i)
+            verts, q = scan_slot(seed, i)
             quads.append(validate(verts) if q is None else q)
         flagged_vertices = {quads[i].vertices for i in flagged}
         real = verify.circumscribed_min_ratio
@@ -770,6 +775,44 @@ class TestScanBlocks:
         want = conjecture_scan(40, seed=3)
         monkeypatch.setattr(verify, "_SCAN_BLOCK", block)
         assert conjecture_scan(40, seed=3) == want
+
+
+class TestSlotStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 10**30])
+    @pytest.mark.parametrize(
+        "slots",
+        # The last range's indices grow from one 32-bit word to two; with
+        # the seeds of three or four words that runs the hash's loop over
+        # entropy past the pool on some of its slots only.
+        [range(1, 301), range(2**40 + 7, 2**40 + 8), range(2**32 - 2, 2**32 + 3)],
+        ids=["1-300", "2^40+7", "2^32-2..2^32+2"],
+    )
+    def test_states_match_default_rng(self, seed, slots):
+        want = [np.random.default_rng((seed, i)).bit_generator.state for i in slots]
+        assert verify._slot_states(seed, slots) == want
+
+    def test_scan_builds_no_generator_per_slot(self, monkeypatch):
+        calls = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        conjecture_scan(600, 42)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 1.0, 2.5, "7", None])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError):
+            conjecture_scan(3, seed)
+        with pytest.raises(DomainError):
+            scan_sample_vertices(seed, 1)
+
+    def test_takes_any_integer_type_as_its_seed(self):
+        assert conjecture_scan(9, np.uint64(7)) == conjecture_scan(9, 7)
+        assert scan_sample_vertices(np.int64(7), 5) == scan_sample_vertices(7, 5)
 
 
 class TestSamplers:
