@@ -77,7 +77,6 @@ _SCAN_BIN_WIDTH = 0.1
 _SCAN_BINS = 16
 # Slots conjecture_scan draws before it scores them.
 _SCAN_BLOCK = 256
-_UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
 # numpy's SeedSequence and pcg64_set_seed, which _slot_states runs for a
 # block of slots: the entropy pool's size in 32-bit words, the
@@ -453,7 +452,7 @@ def _scan_slot(rng: np.random.Generator, index: int) -> tuple[tuple[Point, Point
     generator in that very state (see _slot_states). Slot 0 draws nothing.
     """
     if index == 0:
-        return _UNIT_SQUARE, None
+        return ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), None
     stratum = index % 4
     if stratum == 2:
         return sample_parallelogram_vertices(rng), None
