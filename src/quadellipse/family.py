@@ -35,6 +35,7 @@ cy l1 + l2, nonzero as c lies strictly inside. The frame sides are
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .conic import ConicCoeffs, EllipseGeom, _placed_ellipse, conic_transform
@@ -51,6 +52,7 @@ from .quad import (
 
 _LAM_EDGE = 1e-12
 _EPS = 2.0**-52
+_set = object.__setattr__
 
 
 class CenterLocus(NamedTuple):
@@ -74,18 +76,93 @@ class CenterLocus(NamedTuple):
         return (lo, hi) if lo <= hi else (hi, lo)
 
 
-class InscribedMember(NamedTuple):
+class InscribedMember:
     """One inscribed ellipse of a quad's family.
 
     ``parameter`` is the member's pencil position lam in (0, 1), its center
     being M1 + lam (M2 - M1) on the diagonal-midpoint segment.
     ``tangency`` holds one point per side, in side order.
+
+    The record is immutable. It iterates, compares field by field, hashes
+    and prints as the tuple (parameter, conic, geom, tangency), and
+    ``_replace`` makes a modified copy. A member built from a quad computes
+    its conic and its tangency points the first time each is read, and
+    keeps them.
     """
 
+    __slots__ = ("parameter", "geom", "_conic", "_tangency", "_frame")
+    _fields = ("parameter", "conic", "geom", "tangency")
+
     parameter: float
-    conic: ConicCoeffs
     geom: EllipseGeom
-    tangency: tuple[Point, Point, Point, Point]
+
+    def __init__(
+        self,
+        parameter: float,
+        conic: ConicCoeffs,
+        geom: EllipseGeom,
+        tangency: tuple[Point, Point, Point, Point],
+    ) -> None:
+        _set(self, "parameter", parameter)
+        _set(self, "_conic", conic)
+        _set(self, "geom", geom)
+        _set(self, "_tangency", tangency)
+
+    @classmethod
+    def _pending(cls, parameter: float, geom: EllipseGeom, frame: tuple) -> "InscribedMember":
+        """A member whose conic and tangency points are computed from
+        ``frame``, the arguments of _member_conic, when first read."""
+        member = object.__new__(cls)
+        _set(member, "parameter", parameter)
+        _set(member, "geom", geom)
+        _set(member, "_frame", frame)
+        return member
+
+    @property
+    def conic(self) -> ConicCoeffs:
+        try:
+            return self._conic
+        except AttributeError:
+            _set(self, "_conic", _member_conic(*self._frame))
+            return self._conic
+
+    @property
+    def tangency(self) -> tuple[Point, Point, Point, Point]:
+        try:
+            return self._tangency
+        except AttributeError:
+            _set(self, "_tangency", _member_tangency(*self._frame[:6]))
+            return self._tangency
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"InscribedMember is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"InscribedMember is immutable; cannot delete {name!r}")
+
+    def __iter__(self):
+        return iter((self.parameter, self.conic, self.geom, self.tangency))
+
+    def __eq__(self, other):
+        if isinstance(other, InscribedMember):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"InscribedMember({fields})"
+
+    def __reduce__(self):
+        return InscribedMember, tuple(self)
+
+    def _replace(self, **changes) -> "InscribedMember":
+        unknown = changes.keys() - set(self._fields)
+        if unknown:
+            raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
+        return InscribedMember(**dict(zip(self._fields, self), **changes))
 
 
 def midpoint_ellipse(frame: ParallelogramFrame) -> InscribedMember:
@@ -213,20 +290,52 @@ def _pencil_member(alpha: float, beta: float, back: AffineMap, lam: float) -> In
     diagonal frame (alpha, beta) from _member_shape and placed back onto the
     quad by ``back``; its parameter is lam.
 
-    In the frame its conic is (x - c)^T adj(S) (x - c) = det S, written out
-    without cancellation: with D = diag(lam p, (1 - lam) r), the quadratic
-    part is adj S, the linear part -2 adj(D) c and the constant -det D. It
-    touches side l at its pole ((cx l2 - dp l0) / w, (cy l2 - dr l1) / w),
-    w = cx l0 + cy l1 + l2 (module docstring). The tangency points go
-    through ``back``, and conic._placed_ellipse places the centre and the
-    shape S: its semi-axes and angle are those of L S L^T, L the linear part
-    of ``back``.
+    Only the geometry is built here: conic._placed_ellipse places the centre
+    and the shape S, its semi-axes and angle being those of L S L^T, L the
+    linear part of ``back``. The member computes its conic (_member_conic)
+    and its tangency points (_member_tangency) the first time each is read.
     """
     cx, cy, s00, s01, s11, det = _member_shape(alpha, beta, lam)
     if not det > 0.0:
         raise CenterOffLocus("pencil member at the requested center is not a real ellipse")
+    return InscribedMember._pending(
+        lam,
+        _placed_ellipse(back, (cx, cy), s00, s01, s11, math.sqrt(det)),
+        (alpha, beta, back, lam, cx, cy, s00, s01, s11),
+    )
+
+
+def _member_conic(
+    alpha: float,
+    beta: float,
+    back: AffineMap,
+    lam: float,
+    cx: float,
+    cy: float,
+    s00: float,
+    s01: float,
+    s11: float,
+) -> ConicCoeffs:
+    """Conic of the pencil member at lam with centre c and shape S
+    (_member_shape), mapped by ``back`` and scaled canonical.
+
+    In the frame it is (x - c)^T adj(S) (x - c) = det S, written out without
+    cancellation: with D = diag(lam p, (1 - lam) r), the quadratic part is
+    adj S, the linear part -2 adj(D) c and the constant -det D.
+    """
     dp, dr = lam * alpha * (1.0 - alpha), (1.0 - lam) * beta * (1.0 - beta)
     conic = ConicCoeffs(s11, s00, -s01, -2.0 * dr * cx, -2.0 * dp * cy, -dp * dr)
+    return conic_transform(conic, back).canonical()
+
+
+def _member_tangency(
+    alpha: float, beta: float, back: AffineMap, lam: float, cx: float, cy: float
+) -> tuple[Point, Point, Point, Point]:
+    """Tangency points of the pencil member at lam with centre c, one per
+    side in side order, mapped by ``back``: side l is touched at its pole
+    ((cx l2 - dp l0) / w, (cy l2 - dr l1) / w), w = cx l0 + cy l1 + l2
+    (module docstring)."""
+    dp, dr = lam * alpha * (1.0 - alpha), (1.0 - lam) * beta * (1.0 - beta)
     a1, b1 = 1.0 - alpha, 1.0 - beta
     tangency = []
     for l0, l1, l2 in (
@@ -237,12 +346,7 @@ def _pencil_member(alpha: float, beta: float, back: AffineMap, lam: float) -> In
     ):
         w = cx * l0 + cy * l1 + l2
         tangency.append(back(((cx * l2 - dp * l0) / w, (cy * l2 - dr * l1) / w)))
-    return InscribedMember(
-        parameter=lam,
-        conic=conic_transform(conic, back).canonical(),
-        geom=_placed_ellipse(back, (cx, cy), s00, s01, s11, math.sqrt(det)),
-        tangency=tuple(tangency),
-    )
+    return tuple(tangency)
 
 
 def max_area_ellipse(q: ConvexQuad) -> InscribedMember:
@@ -282,7 +386,12 @@ def family_areas(q: ConvexQuad, count: int) -> list[tuple[float, float, Point]]:
     Each center is M1 + lam (M2 - M1) and each area pi sqrt(det S)
     (_member_shape) times the frame's area scale. A parallelogram's center
     stays fixed: its frame member is x^2 / (lam / 4) + y^2 / ((1 - lam) / 4) = 1.
+    A count that is not an integer >= 1 raises ParameterOutOfRange.
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ParameterOutOfRange(f"sample count must be an integer, got {count!r}") from None
     if count < 1:
         raise ParameterOutOfRange(f"sample count must be positive, got {count}")
     alpha, beta, back = diagonal_frame(q)

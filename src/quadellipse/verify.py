@@ -422,24 +422,25 @@ def scan_sample_vertices(seed: int, index: int) -> tuple[Point, Point, Point, Po
     parallelograms with 1e-3 vertex noise. Slot ``index`` draws from its
     own stream, np.random.default_rng((seed, index)), so samples are
     independent of evaluation order. This function builds that generator
-    itself; conjecture_scan reproduces its state without it. The seed must
-    be a non-negative integer (DomainError otherwise).
+    itself; conjecture_scan reproduces its state without it. The seed and
+    the index must be non-negative integers (DomainError otherwise).
     """
     import numpy as np
 
     seed = _scan_seed(seed)
+    index = _scan_seed(index, "scan index")
     return _scan_slot(np.random.default_rng((seed, index)), index)[0]
 
 
-def _scan_seed(seed: int) -> int:
-    """The scan's seed as an int, refused with DomainError unless it is a
-    non-negative integer."""
+def _scan_seed(seed: int, what: str = "scan seed") -> int:
+    """``seed`` as an int, refused with DomainError unless it is a
+    non-negative integer; ``what`` names it in the message."""
     try:
         seed = operator.index(seed)
     except TypeError:
-        raise DomainError(f"scan seed must be an integer, got {seed!r}") from None
+        raise DomainError(f"{what} must be an integer, got {seed!r}") from None
     if seed < 0:
-        raise DomainError(f"scan seed must be non-negative, got {seed}")
+        raise DomainError(f"{what} must be non-negative, got {seed}")
     return seed
 
 
@@ -637,10 +638,16 @@ class CheckOutcome(NamedTuple):
 def run_verification_suite(samples: int = 1000, seed: int = 0) -> list[CheckOutcome]:
     """Run every claim check at a configurable sample size.
 
-    Returns one outcome per check; nothing raises, so a report is always
-    produced even when a check fails.
+    Returns one outcome per check; once the inputs are accepted nothing
+    raises, so a report is always produced even when a check fails. A seed
+    that is not a non-negative integer, or fewer than one sample, raises
+    DomainError on entry.
     """
     import numpy as np
+
+    seed = _scan_seed(seed, "suite seed")
+    if not samples >= 1:
+        raise DomainError(f"sample count must be at least 1, got {samples}")
 
     outcomes: list[CheckOutcome] = []
 

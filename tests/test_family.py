@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +23,9 @@ from quadellipse.errors import (
     ParameterOutOfRange,
     QuadEllipseError,
 )
+from quadellipse import family
 from quadellipse.family import (
+    InscribedMember,
     area_sq,
     ellipse_at_center,
     family_areas,
@@ -32,6 +37,7 @@ from quadellipse.family import (
 )
 from quadellipse.geom import AffineMap, distance, midpoint
 from quadellipse.quad import diagonal_midpoints, parallelogram_frame, quad_area, validate
+from quadellipse.bounds import check_area_inequality
 from quadellipse.verify import (
     check_foci_on_bestfit,
     marden_check,
@@ -565,6 +571,14 @@ class TestFamilyAreas:
         with pytest.raises(ParameterOutOfRange):
             family_areas(GENERIC, 0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None, -1])
+    def test_refuses_a_count_that_is_not_a_positive_integer(self, count):
+        with pytest.raises(ParameterOutOfRange):
+            family_areas(GENERIC, count)
+
+    def test_takes_any_integer_type_as_its_count(self):
+        assert family_areas(GENERIC, np.int64(7)) == family_areas(GENERIC, 7)
+
 
 def _diameter(verts):
     return max(math.dist(p, q) for p in verts for q in verts)
@@ -702,3 +716,98 @@ class TestPlacementInvariance:
             flags.append(validate(verts).is_trapezoid)
             assert abs(inscribed_ratio(verts) - want) < 1e-9, nudge
         assert flags == [True, False]
+
+
+class _TupleMember(NamedTuple):
+    """The record as a named tuple, to compare the member's tuple behaviour
+    against."""
+
+    parameter: float
+    conic: object
+    geom: object
+    tangency: tuple
+
+
+class TestMemberRecord:
+    """A member built from a quad forms its conic and tangency points on
+    first read; otherwise it behaves as the named tuple
+    (parameter, conic, geom, tangency)."""
+
+    @pytest.fixture
+    def no_conic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("conic_transform called")
+
+        monkeypatch.setattr(family, "conic_transform", refuse)
+
+    def test_answer_path_builds_no_conic(self, no_conic):
+        for q in (GENERIC, validate(THIN_TRAPEZOID)):
+            geom = max_area_ellipse(q).geom
+            assert geom.a >= geom.b > 0.0
+            assert check_area_inequality(q).bound_gap > 0.0
+        sheared = validate(((0.0, 0.0), (2.0, 0.0), (3.0, 1.0), (1.0, 1.0)))
+        assert abs(check_area_inequality(sheared).bound_gap) < 1e-12
+        assert check_foci_on_bestfit(sheared) < 1e-12
+        m1, m2 = diagonal_midpoints(GENERIC)
+        center = (0.6 * m1[0] + 0.4 * m2[0], 0.6 * m1[1] + 0.4 * m2[1])
+        assert ellipse_at_center(GENERIC, center).geom.center == pytest.approx(center)
+        with pytest.raises(AssertionError, match="conic_transform called"):
+            max_area_ellipse(GENERIC).conic
+
+    def test_lazy_fields_are_computed_once(self, monkeypatch):
+        member = max_area_ellipse(GENERIC)
+        conic, tangency = member.conic, member.tangency
+        monkeypatch.setattr(family, "_member_conic", None)
+        monkeypatch.setattr(family, "_member_tangency", None)
+        assert member.conic is conic
+        assert member.tangency is tangency
+
+    def test_behaves_as_the_named_tuple(self):
+        member = max_area_ellipse(GENERIC)
+        ref = _TupleMember(*member)
+        assert tuple(member) == tuple(ref) == (member.parameter, member.conic, member.geom, member.tangency)
+        assert member == ref and member == tuple(ref) and not member != tuple(ref)
+        assert hash(member) == hash(ref)
+        assert repr(member) == repr(ref).replace("_TupleMember", "InscribedMember")
+        parameter, conic, geom, tangency = member
+        assert (parameter, conic, geom, tangency) == tuple(ref)
+        assert InscribedMember._fields == _TupleMember._fields
+        assert member != max_area_ellipse(validate(THIN_TRAPEZOID))
+        assert member != tuple(ref)[:3] and member != list(ref)
+
+    def test_replace(self):
+        member = max_area_ellipse(GENERIC)
+        moved = member._replace(parameter=0.25, tangency=member.tangency[1:] + member.tangency[:1])
+        assert isinstance(moved, InscribedMember)
+        assert tuple(moved) == tuple(_TupleMember(*member)._replace(parameter=0.25, tangency=moved.tangency))
+        assert tuple(member) == tuple(_TupleMember(*member))
+        with pytest.raises(ValueError):
+            member._replace(kind="pencil")
+
+    def test_eager_member_equals_lazy_member(self):
+        lazy = max_area_ellipse(GENERIC)
+        eager = InscribedMember(
+            parameter=lazy.parameter,
+            conic=lazy.conic,
+            geom=lazy.geom,
+            tangency=lazy.tangency,
+        )
+        fresh = max_area_ellipse(GENERIC)
+        assert eager == fresh and fresh == eager
+        assert hash(eager) == hash(fresh)
+        assert repr(eager) == repr(fresh)
+        assert eager.conic is lazy.conic
+
+    def test_copies_and_pickles_as_the_tuple(self):
+        member = max_area_ellipse(GENERIC)
+        for other in (copy.copy(member), copy.deepcopy(member), pickle.loads(pickle.dumps(member))):
+            assert isinstance(other, InscribedMember)
+            assert other == member
+
+    def test_cannot_delete_a_field(self):
+        member = max_area_ellipse(GENERIC)
+        for name in ("parameter", "conic", "geom", "tangency", "_conic"):
+            with pytest.raises(AttributeError):
+                delattr(member, name)
+        with pytest.raises(AttributeError):
+            member._conic = None

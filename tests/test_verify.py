@@ -810,8 +810,14 @@ class TestSlotStreams:
         with pytest.raises(DomainError):
             scan_sample_vertices(seed, 1)
 
+    @pytest.mark.parametrize("index", [-1, -(2**64), 1.0, 2.5, "7", None])
+    def test_refuses_an_index_that_is_not_a_non_negative_integer(self, index):
+        with pytest.raises(DomainError, match="scan index"):
+            scan_sample_vertices(1, index)
+
     def test_takes_any_integer_type_as_its_seed(self):
         assert conjecture_scan(9, np.uint64(7)) == conjecture_scan(9, 7)
+        assert scan_sample_vertices(7, np.int64(5)) == scan_sample_vertices(7, 5)
         assert scan_sample_vertices(np.int64(7), 5) == scan_sample_vertices(7, 5)
 
 
@@ -853,6 +859,16 @@ class TestSamplers:
 
 
 class TestSuite:
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2.5, "3", None])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError, match="suite seed"):
+            run_verification_suite(4, seed)
+
+    @pytest.mark.parametrize("samples", [0, -3, math.nan])
+    def test_refuses_fewer_than_one_sample(self, samples):
+        with pytest.raises(DomainError, match="sample count"):
+            run_verification_suite(samples, 0)
+
     def test_small_suite_passes(self):
         outcomes = run_verification_suite(samples=120, seed=3)
         names = [o.name for o in outcomes]
