@@ -93,37 +93,18 @@ class InscribedMember:
     __slots__ = ("parameter", "geom", "_conic", "_tangency", "_frame")
     _fields = ("parameter", "conic", "geom", "tangency")
 
-    parameter: float
-    geom: EllipseGeom
-
-    def __init__(
-        self,
-        parameter: float,
-        conic: ConicCoeffs,
-        geom: EllipseGeom,
-        tangency: tuple[Point, Point, Point, Point],
-    ) -> None:
+    def __init__(self, parameter: float, conic: ConicCoeffs, geom: EllipseGeom, tangency) -> None:
         _set(self, "parameter", parameter)
         _set(self, "_conic", conic)
         _set(self, "geom", geom)
         _set(self, "_tangency", tangency)
-
-    @classmethod
-    def _pending(cls, parameter: float, geom: EllipseGeom, frame: tuple) -> "InscribedMember":
-        """A member whose conic and tangency points are computed from
-        ``frame``, the arguments of _member_conic, when first read."""
-        member = object.__new__(cls)
-        _set(member, "parameter", parameter)
-        _set(member, "geom", geom)
-        _set(member, "_frame", frame)
-        return member
 
     @property
     def conic(self) -> ConicCoeffs:
         try:
             return self._conic
         except AttributeError:
-            _set(self, "_conic", _member_conic(*self._frame))
+            _set(self, "_conic", _member_conic(self._frame))
             return self._conic
 
     @property
@@ -131,7 +112,7 @@ class InscribedMember:
         try:
             return self._tangency
         except AttributeError:
-            _set(self, "_tangency", _member_tangency(*self._frame[:6]))
+            _set(self, "_tangency", _member_tangency(self._frame))
             return self._tangency
 
     def __setattr__(self, name: str, value) -> None:
@@ -292,49 +273,38 @@ def _pencil_member(alpha: float, beta: float, back: AffineMap, lam: float) -> In
 
     Only the geometry is built here: conic._placed_ellipse places the centre
     and the shape S, its semi-axes and angle being those of L S L^T, L the
-    linear part of ``back``. The member computes its conic (_member_conic)
-    and its tangency points (_member_tangency) the first time each is read.
+    linear part of ``back``. The member keeps the frame and computes its
+    conic (_member_conic) and its tangency points (_member_tangency) from it
+    the first time each is read.
     """
     cx, cy, s00, s01, s11, det = _member_shape(alpha, beta, lam)
     if not det > 0.0:
         raise CenterOffLocus("pencil member at the requested center is not a real ellipse")
-    return InscribedMember._pending(
-        lam,
-        _placed_ellipse(back, (cx, cy), s00, s01, s11, math.sqrt(det)),
-        (alpha, beta, back, lam, cx, cy, s00, s01, s11),
-    )
+    member = object.__new__(InscribedMember)
+    _set(member, "parameter", lam)
+    _set(member, "geom", _placed_ellipse(back, (cx, cy), s00, s01, s11, math.sqrt(det)))
+    _set(member, "_frame", (alpha, beta, back, lam, cx, cy, s00, s01, s11))
+    return member
 
 
-def _member_conic(
-    alpha: float,
-    beta: float,
-    back: AffineMap,
-    lam: float,
-    cx: float,
-    cy: float,
-    s00: float,
-    s01: float,
-    s11: float,
-) -> ConicCoeffs:
-    """Conic of the pencil member at lam with centre c and shape S
-    (_member_shape), mapped by ``back`` and scaled canonical.
-
-    In the frame it is (x - c)^T adj(S) (x - c) = det S, written out without
-    cancellation: with D = diag(lam p, (1 - lam) r), the quadratic part is
-    adj S, the linear part -2 adj(D) c and the constant -det D.
-    """
+def _member_conic(frame: tuple) -> ConicCoeffs:
+    """Conic of a pencil member, from the frame that _pencil_member keeps:
+    in the diagonal frame it is (x - c)^T adj(S) (x - c) = det S, written
+    out without cancellation: with D = diag(lam p, (1 - lam) r), the
+    quadratic part is adj S, the linear part -2 adj(D) c and the constant
+    -det D. It is mapped by ``back`` and scaled canonical."""
+    alpha, beta, back, lam, cx, cy, s00, s01, s11 = frame
     dp, dr = lam * alpha * (1.0 - alpha), (1.0 - lam) * beta * (1.0 - beta)
     conic = ConicCoeffs(s11, s00, -s01, -2.0 * dr * cx, -2.0 * dp * cy, -dp * dr)
     return conic_transform(conic, back).canonical()
 
 
-def _member_tangency(
-    alpha: float, beta: float, back: AffineMap, lam: float, cx: float, cy: float
-) -> tuple[Point, Point, Point, Point]:
-    """Tangency points of the pencil member at lam with centre c, one per
-    side in side order, mapped by ``back``: side l is touched at its pole
+def _member_tangency(frame: tuple) -> tuple[Point, Point, Point, Point]:
+    """Tangency points of a pencil member, one per side in side order, from
+    the frame that _pencil_member keeps: side l is touched at its pole
     ((cx l2 - dp l0) / w, (cy l2 - dr l1) / w), w = cx l0 + cy l1 + l2
-    (module docstring)."""
+    (module docstring), mapped by ``back``."""
+    alpha, beta, back, lam, cx, cy = frame[:6]
     dp, dr = lam * alpha * (1.0 - alpha), (1.0 - lam) * beta * (1.0 - beta)
     a1, b1 = 1.0 - alpha, 1.0 - beta
     tangency = []
